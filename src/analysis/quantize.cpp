@@ -82,7 +82,7 @@ QuantizeStats quantize_to_qdq(Graph& model) {
       ++stats.dq_nodes;
       it = weight_dq.emplace(weight, weight + "_dqo").first;
     }
-    model.node(edit.node).inputs[edit.input_index] = it->second;
+    model.mutable_node(edit.node).inputs[edit.input_index] = it->second;
   }
 
   // Activations: QuantizeLinear -> DequantizeLinear pairs, shared per tensor.
@@ -106,7 +106,7 @@ QuantizeStats quantize_to_qdq(Graph& model) {
       ++stats.dq_nodes;
       it = dequantized_of.emplace(tensor, tensor + "_dqo").first;
     }
-    model.node(edit.node).inputs[edit.input_index] = it->second;
+    model.mutable_node(edit.node).inputs[edit.input_index] = it->second;
   }
 
   model.validate();

@@ -13,9 +13,7 @@ void infer_shapes(Graph& graph) {
                 "graph input '" << in << "' must carry a shape before inference");
   }
   for (const NodeId id : graph.topo_order()) {
-    // Read-only node access: the non-const overload would invalidate the
-    // cached topological order we are iterating.
-    const Node& node = std::as_const(graph).node(id);
+    const Node& node = graph.node(id);
     const OpDef& def = op_def_for(node);
     const OpContext ctx(graph, node);
     std::vector<TensorDesc> outs;
@@ -47,15 +45,16 @@ void set_batch_size(Graph& graph, int64_t batch) {
     // Shape-carrying attributes that bake in the old batch size (builders use
     // 0/-1 placeholders where possible; explicit batch appears in e.g.
     // Expand of broadcast tokens).
-    for (Node& node : graph.nodes()) {
+    for (size_t i = 0; i < graph.num_nodes(); ++i) {
+      AttrMap& attrs = graph.mutable_attrs(static_cast<NodeId>(i));
       for (const char* key : {"shape", "sizes"}) {
-        if (!node.attrs.has(key)) {
+        if (!attrs.has(key)) {
           continue;
         }
-        std::vector<int64_t> dims = node.attrs.get_ints(key);
+        std::vector<int64_t> dims = attrs.get_ints(key);
         if (!dims.empty() && dims[0] == old_batch) {
           dims[0] = batch;
-          node.attrs.set(key, dims);
+          attrs.set(key, dims);
         }
       }
     }

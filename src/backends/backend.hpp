@@ -146,7 +146,9 @@ class Backend {
 
   /// Phase 2 — lowering: turns a prepared graph plus a plan into an Engine
   /// with per-layer kernels.  Kernel work sizes are shape-dependent and are
-  /// always computed from `prepared`'s actual tensor shapes.
+  /// always computed from `prepared`'s actual tensor shapes.  `prepared` is a
+  /// sink moved into the Engine (a const reference would force a re-interning
+  /// copy); lowering only reads it, so its warm index moves along intact.
   [[nodiscard]] virtual Engine lower(Graph prepared, const BuildPlan& plan,
                                      const BuildConfig& config,
                                      const hw::PlatformDesc& platform) const = 0;

@@ -93,11 +93,10 @@ Graph instantiate_plan_graph(const AnalysisPlan& plan, const Graph& model,
   // Only "shape"/"sizes" attrs can diverge between compatible graphs
   // (plan_compatible pins everything else; set_batch_size touches nothing
   // else), so restoration is limited to nodes carrying them.
-  const std::vector<Node>& src = model.nodes();
-  std::vector<Node>& dst = g.nodes();
-  for (size_t i = 0; i < dst.size(); ++i) {
-    if (dst[i].attrs.has("shape") || dst[i].attrs.has("sizes")) {
-      dst[i].attrs = src[i].attrs;
+  for (size_t i = 0; i < g.num_nodes(); ++i) {
+    AttrMap& attrs = g.mutable_attrs(static_cast<NodeId>(i));
+    if (attrs.has("shape") || attrs.has("sizes")) {
+      attrs = model.node(static_cast<NodeId>(i)).attrs;
     }
   }
   // Restore the model's input descs (shape AND dtype; floats convert to the

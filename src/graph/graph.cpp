@@ -2,31 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
 #include <mutex>
-#include <set>
 #include <utility>
 
 #include "obs/span.hpp"
 #include "support/error.hpp"
 
 namespace proof {
-
-namespace {
-
-// Process-wide A/B switch; relaxed loads compile to a plain read on the hot
-// path.  Flipped only by bench_graph_index and the differential fuzz tests.
-std::atomic<int> g_lookup_mode{static_cast<int>(Graph::LookupMode::kIndexed)};
-
-}  // namespace
-
-void Graph::set_lookup_mode(LookupMode mode) {
-  g_lookup_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
-
-Graph::LookupMode Graph::lookup_mode() {
-  return static_cast<LookupMode>(g_lookup_mode.load(std::memory_order_relaxed));
-}
 
 // Lazy structural index.  Rebuilt as a whole on first query after a
 // structural mutation; guarded by `mutex` with double-checked atomic validity
@@ -35,7 +17,6 @@ struct Graph::Index {
   std::mutex mutex;
   std::atomic<bool> edges_valid{false};
   std::atomic<bool> topo_valid{false};
-  std::atomic<int> built_mode{-1};  ///< LookupMode the edge index was built for
   std::atomic<uint64_t> generation{0};
   bool edges_built_once = false;  ///< for the rebuild-after-invalidation counter
   bool topo_built_once = false;
@@ -58,16 +39,8 @@ struct Graph::Index {
   std::vector<NodeId> producer_of;         ///< size = pool size at build time
   std::vector<uint32_t> consumer_offsets;  ///< size = pool size + 1
   std::vector<NodeId> consumer_list;
-  // Cached topological order (kIndexed) / per-call scratch (kLegacyMaps).
+  // Cached topological order.
   std::vector<NodeId> topo;
-
-  // --- LookupMode::kLegacyMaps baseline only ------------------------------
-  // Mirrors of the pre-interning std::map indexes; never touched in the
-  // default mode.
-  std::map<std::string, NodeId, std::less<>> legacy_producer;
-  std::map<std::string, std::vector<NodeId>, std::less<>> legacy_consumers;
-  std::map<std::string, NodeId, std::less<>> legacy_node_by_name;
-  std::vector<NodeId> legacy_type_scratch;  ///< nodes_of_type per-call result
 };
 
 // --- lifecycle ---------------------------------------------------------------
@@ -331,39 +304,14 @@ void Graph::rebuild_edges(Index& ix) const {
               static_cast<int64_t>(names_.size() - interned_before));
 }
 
-void Graph::rebuild_legacy(Index& ix) const {
-  ix.legacy_producer.clear();
-  ix.legacy_consumers.clear();
-  ix.legacy_node_by_name.clear();
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    const Node& n = nodes_[i];
-    const NodeId id = static_cast<NodeId>(i);
-    ix.legacy_node_by_name.emplace(n.name, id);
-    for (const std::string& out : n.outputs) {
-      ix.legacy_producer[out] = id;
-    }
-    for (const std::string& in : n.inputs) {
-      ix.legacy_consumers[in].push_back(id);
-    }
-  }
-}
-
 const Graph::Index& Graph::ensure_edges() const {
   Index& ix = *index_;
-  const int mode = g_lookup_mode.load(std::memory_order_relaxed);
-  if (ix.edges_valid.load(std::memory_order_acquire) &&
-      ix.built_mode.load(std::memory_order_relaxed) == mode) {
+  if (ix.edges_valid.load(std::memory_order_acquire)) {
     return ix;
   }
   std::lock_guard<std::mutex> lock(ix.mutex);
-  if (!ix.edges_valid.load(std::memory_order_relaxed) ||
-      ix.built_mode.load(std::memory_order_relaxed) != mode) {
-    ix.topo_valid.store(false, std::memory_order_relaxed);
+  if (!ix.edges_valid.load(std::memory_order_relaxed)) {
     rebuild_edges(ix);
-    if (static_cast<LookupMode>(mode) == LookupMode::kLegacyMaps) {
-      rebuild_legacy(ix);
-    }
-    ix.built_mode.store(mode, std::memory_order_relaxed);
     ix.edges_valid.store(true, std::memory_order_release);
   }
   return ix;
@@ -427,12 +375,7 @@ const Graph::Index& Graph::ensure_topo() const {
   return ix;
 }
 
-void Graph::warm_indices() const {
-  (void)ensure_edges();
-  if (lookup_mode() == LookupMode::kIndexed) {
-    (void)ensure_topo();
-  }
-}
+void Graph::warm_indices() const { (void)ensure_topo(); }
 
 Graph Graph::clone_warm() const {
   Graph g;
@@ -448,9 +391,9 @@ Graph Graph::clone_warm() const {
   g.inputs_ = inputs_;
   g.outputs_ = outputs_;
   // Eager tables: clone the interner id-for-id and re-point the descriptor
-  // table at the copy's own tensor map (map nodes are address-stable).  Id
-  // preservation holds in every lookup mode — interned ids cached against
-  // the source (plan-cache kernel boundary ids) stay valid in the clone.
+  // table at the copy's own tensor map (map nodes are address-stable).
+  // Interned ids cached against the source (plan-cache kernel boundary ids)
+  // stay valid in the clone.
   {
     PROOF_SPAN("graph.clone.pool");
     g.names_ = names_.clone();
@@ -462,9 +405,6 @@ Graph Graph::clone_warm() const {
     for (auto& [tensor_name, desc] : g.tensors_) {
       g.desc_of_[static_cast<size_t>(g.names_.find(tensor_name))] = &desc;
     }
-  }
-  if (lookup_mode() != LookupMode::kIndexed) {
-    return g;  // legacy mode has no warm structural index worth preserving
   }
   warm_indices();
   // Lazy index: every id in the source's CSR arrays is valid verbatim in the
@@ -486,8 +426,6 @@ Graph Graph::clone_warm() const {
   dst.topo = src.topo;
   dst.edges_built_once = true;
   dst.topo_built_once = true;
-  dst.built_mode.store(src.built_mode.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
   dst.edges_valid.store(true, std::memory_order_release);
   dst.topo_valid.store(true, std::memory_order_release);
   return g;
@@ -500,26 +438,23 @@ const Node& Graph::node(NodeId id) const {
   return nodes_[static_cast<size_t>(id)];
 }
 
-Node& Graph::node(NodeId id) {
+Node& Graph::mutable_node(NodeId id) {
   PROOF_CHECK(id >= 0 && static_cast<size_t>(id) < nodes_.size(), "bad node id " << id);
   invalidate_structure();
   return nodes_[static_cast<size_t>(id)];
 }
 
+AttrMap& Graph::mutable_attrs(NodeId id) {
+  PROOF_CHECK(id >= 0 && static_cast<size_t>(id) < nodes_.size(), "bad node id " << id);
+  return nodes_[static_cast<size_t>(id)].attrs;
+}
+
 bool Graph::has_tensor(std::string_view name) const {
-  if (lookup_mode() == LookupMode::kLegacyMaps) {
-    return tensors_.find(name) != tensors_.end();
-  }
   const TensorId id = names_.find(name);
   return id != kInvalidTensor && desc_of_[static_cast<size_t>(id)] != nullptr;
 }
 
 const TensorDesc& Graph::tensor(std::string_view name) const {
-  if (lookup_mode() == LookupMode::kLegacyMaps) {
-    const auto it = tensors_.find(name);
-    PROOF_CHECK(it != tensors_.end(), "unknown tensor '" << name << "'");
-    return it->second;
-  }
   const TensorId id = names_.find(name);
   const TensorDesc* desc =
       id == kInvalidTensor ? nullptr : desc_of_[static_cast<size_t>(id)];
@@ -567,21 +502,12 @@ NodeId Graph::producer(TensorId id) const {
     return kInvalidNode;
   }
   const Index& ix = ensure_edges();
-  if (lookup_mode() == LookupMode::kLegacyMaps) {
-    const auto it = ix.legacy_producer.find(names_.view(id));
-    return it == ix.legacy_producer.end() ? kInvalidNode : it->second;
-  }
   return static_cast<size_t>(id) < ix.producer_of.size()
              ? ix.producer_of[static_cast<size_t>(id)]
              : kInvalidNode;
 }
 
 NodeId Graph::producer(std::string_view tensor_name) const {
-  if (lookup_mode() == LookupMode::kLegacyMaps) {
-    const Index& ix = ensure_edges();
-    const auto it = ix.legacy_producer.find(tensor_name);
-    return it == ix.legacy_producer.end() ? kInvalidNode : it->second;
-  }
   return producer(names_.find(tensor_name));
 }
 
@@ -590,13 +516,6 @@ std::span<const NodeId> Graph::consumers(TensorId id) const {
     return {};
   }
   const Index& ix = ensure_edges();
-  if (lookup_mode() == LookupMode::kLegacyMaps) {
-    const auto it = ix.legacy_consumers.find(names_.view(id));
-    if (it == ix.legacy_consumers.end()) {
-      return {};
-    }
-    return {it->second.data(), it->second.size()};
-  }
   if (static_cast<size_t>(id) + 1 >= ix.consumer_offsets.size()) {
     return {};
   }
@@ -606,14 +525,6 @@ std::span<const NodeId> Graph::consumers(TensorId id) const {
 }
 
 std::span<const NodeId> Graph::consumers(std::string_view tensor_name) const {
-  if (lookup_mode() == LookupMode::kLegacyMaps) {
-    const Index& ix = ensure_edges();
-    const auto it = ix.legacy_consumers.find(tensor_name);
-    if (it == ix.legacy_consumers.end()) {
-      return {};
-    }
-    return {it->second.data(), it->second.size()};
-  }
   return consumers(names_.find(tensor_name));
 }
 
@@ -644,10 +555,6 @@ OpTypeId Graph::op_type_id(std::string_view op_type) const {
 
 NodeId Graph::find_node(std::string_view node_name) const {
   const Index& ix = ensure_edges();
-  if (lookup_mode() == LookupMode::kLegacyMaps) {
-    const auto it = ix.legacy_node_by_name.find(node_name);
-    return it == ix.legacy_node_by_name.end() ? kInvalidNode : it->second;
-  }
   const TensorId id = names_.find(node_name);
   if (id == kInvalidTensor || static_cast<size_t>(id) >= ix.node_of_name.size()) {
     return kInvalidNode;
@@ -656,17 +563,6 @@ NodeId Graph::find_node(std::string_view node_name) const {
 }
 
 std::span<const NodeId> Graph::nodes_of_type(std::string_view op_type) const {
-  if (lookup_mode() == LookupMode::kLegacyMaps) {
-    // Seed behavior: a fresh linear scan per call.
-    Index& ix = *index_;
-    ix.legacy_type_scratch.clear();
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      if (nodes_[i].op_type == op_type) {
-        ix.legacy_type_scratch.push_back(static_cast<NodeId>(i));
-      }
-    }
-    return {ix.legacy_type_scratch.data(), ix.legacy_type_scratch.size()};
-  }
   const Index& ix = ensure_edges();
   const OpTypeId t = ix.op_types.find(op_type);
   if (t == kInvalidOpType) {
@@ -679,63 +575,11 @@ std::span<const NodeId> Graph::nodes_of_type(std::string_view op_type) const {
 
 // --- analysis primitives -----------------------------------------------------
 
-const std::vector<NodeId>& Graph::topo_order() const {
-  if (lookup_mode() == LookupMode::kLegacyMaps) {
-    // Seed behavior: recompute from scratch on every call.
-    (void)ensure_edges();
-    Index& ix = *index_;
-    ix.topo = legacy_topo_order();
-    return ix.topo;
-  }
-  return ensure_topo().topo;
-}
-
-std::vector<NodeId> Graph::legacy_topo_order() const {
-  const Index& ix = *index_;
-  std::vector<int> in_degree(nodes_.size(), 0);
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    for (const std::string& in : nodes_[i].inputs) {
-      if (ix.legacy_producer.find(in) != ix.legacy_producer.end()) {
-        ++in_degree[i];
-      }
-    }
-  }
-  std::deque<NodeId> ready;
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (in_degree[i] == 0) {
-      ready.push_back(static_cast<NodeId>(i));
-    }
-  }
-  std::vector<NodeId> order;
-  order.reserve(nodes_.size());
-  while (!ready.empty()) {
-    const NodeId id = ready.front();
-    ready.pop_front();
-    order.push_back(id);
-    for (const std::string& out : nodes_[static_cast<size_t>(id)].outputs) {
-      const auto it = ix.legacy_consumers.find(out);
-      if (it == ix.legacy_consumers.end()) {
-        continue;
-      }
-      for (const NodeId consumer : it->second) {
-        if (--in_degree[static_cast<size_t>(consumer)] == 0) {
-          ready.push_back(consumer);
-        }
-      }
-    }
-  }
-  if (order.size() != nodes_.size()) {
-    throw ModelError("graph '" + name_ + "' contains a cycle");
-  }
-  return order;
-}
+const std::vector<NodeId>& Graph::topo_order() const { return ensure_topo().topo; }
 
 std::optional<std::vector<NodeId>> Graph::subgraph_by_io(
     const std::vector<std::string>& input_tensors,
     const std::vector<std::string>& output_tensors) const {
-  if (lookup_mode() == LookupMode::kLegacyMaps) {
-    return legacy_subgraph_by_io(input_tensors, output_tensors);
-  }
   std::vector<TensorId> in_ids;
   in_ids.reserve(input_tensors.size());
   for (const std::string& in : input_tensors) {
@@ -759,20 +603,6 @@ std::optional<std::vector<NodeId>> Graph::subgraph_by_io(
 std::optional<std::vector<NodeId>> Graph::subgraph_by_io_ids(
     std::span<const TensorId> input_tensors,
     std::span<const TensorId> output_tensors) const {
-  if (lookup_mode() == LookupMode::kLegacyMaps) {
-    std::vector<std::string> ins;
-    ins.reserve(input_tensors.size());
-    for (const TensorId t : input_tensors) {
-      ins.push_back(names_.str(t));
-    }
-    std::vector<std::string> outs;
-    outs.reserve(output_tensors.size());
-    for (const TensorId t : output_tensors) {
-      outs.push_back(names_.str(t));
-    }
-    return legacy_subgraph_by_io(ins, outs);
-  }
-
   const Index& ix = ensure_edges();
   std::vector<uint8_t> stop(names_.size(), 0);
   for (const TensorId t : input_tensors) {
@@ -827,56 +657,7 @@ std::optional<std::vector<NodeId>> Graph::subgraph_by_io_ids(
   return result;
 }
 
-std::optional<std::vector<NodeId>> Graph::legacy_subgraph_by_io(
-    const std::vector<std::string>& input_tensors,
-    const std::vector<std::string>& output_tensors) const {
-  (void)ensure_edges();
-  const Index& ix = *index_;
-  const auto legacy_producer = [&ix](const std::string& t) {
-    const auto it = ix.legacy_producer.find(t);
-    return it == ix.legacy_producer.end() ? kInvalidNode : it->second;
-  };
-  const std::set<std::string> stop(input_tensors.begin(), input_tensors.end());
-  std::set<NodeId> visited;
-  std::deque<NodeId> frontier;
-  for (const std::string& out : output_tensors) {
-    const NodeId p = legacy_producer(out);
-    if (p == kInvalidNode) {
-      return std::nullopt;
-    }
-    if (visited.insert(p).second) {
-      frontier.push_back(p);
-    }
-  }
-  while (!frontier.empty()) {
-    const NodeId id = frontier.front();
-    frontier.pop_front();
-    for (const std::string& in : nodes_[static_cast<size_t>(id)].inputs) {
-      if (stop.count(in) > 0) {
-        continue;
-      }
-      const auto it = tensors_.find(in);
-      if (it != tensors_.end() && it->second.is_param) {
-        continue;
-      }
-      const NodeId p = legacy_producer(in);
-      if (p == kInvalidNode) {
-        return std::nullopt;
-      }
-      if (visited.insert(p).second) {
-        frontier.push_back(p);
-      }
-    }
-  }
-  std::vector<NodeId> result(visited.begin(), visited.end());
-  std::sort(result.begin(), result.end());
-  return result;
-}
-
 Graph::Boundary Graph::boundary(const std::vector<NodeId>& node_set) const {
-  if (lookup_mode() == LookupMode::kLegacyMaps) {
-    return legacy_boundary(node_set);
-  }
   const BoundaryIds ids = boundary_ids(node_set);
   Boundary result;
   result.inputs.reserve(ids.inputs.size());
@@ -895,22 +676,6 @@ Graph::Boundary Graph::boundary(const std::vector<NodeId>& node_set) const {
 }
 
 Graph::BoundaryIds Graph::boundary_ids(std::span<const NodeId> node_set) const {
-  if (lookup_mode() == LookupMode::kLegacyMaps) {
-    const Boundary b =
-        legacy_boundary(std::vector<NodeId>(node_set.begin(), node_set.end()));
-    BoundaryIds ids;
-    for (const std::string& t : b.inputs) {
-      ids.inputs.push_back(names_.find(t));
-    }
-    for (const std::string& t : b.outputs) {
-      ids.outputs.push_back(names_.find(t));
-    }
-    for (const std::string& t : b.params) {
-      ids.params.push_back(names_.find(t));
-    }
-    return ids;
-  }
-
   const Index& ix = ensure_edges();
   std::vector<uint8_t> member(nodes_.size(), 0);
   std::vector<uint8_t> produced_inside(names_.size(), 0);
@@ -958,58 +723,6 @@ Graph::BoundaryIds Graph::boundary_ids(std::span<const NodeId> node_set) const {
       }
       if (external) {
         result.outputs.push_back(static_cast<TensorId>(tid));
-      }
-    }
-  }
-  return result;
-}
-
-Graph::Boundary Graph::legacy_boundary(const std::vector<NodeId>& node_set) const {
-  (void)ensure_edges();
-  const Index& ix = *index_;
-  const std::set<NodeId> members(node_set.begin(), node_set.end());
-  std::set<std::string> produced_inside;
-  for (const NodeId id : node_set) {
-    for (const std::string& out : node(id).outputs) {
-      produced_inside.insert(out);
-    }
-  }
-  Boundary result;
-  std::set<std::string> seen_inputs;
-  std::set<std::string> seen_params;
-  for (const NodeId id : node_set) {
-    for (const std::string& in : node(id).inputs) {
-      if (produced_inside.count(in) > 0) {
-        continue;
-      }
-      const auto it = tensors_.find(in);
-      const bool is_param = it != tensors_.end() && it->second.is_param;
-      if (is_param) {
-        if (seen_params.insert(in).second) {
-          result.params.push_back(in);
-        }
-      } else if (seen_inputs.insert(in).second) {
-        result.inputs.push_back(in);
-      }
-    }
-  }
-  const std::set<std::string> graph_outputs(outputs_.begin(), outputs_.end());
-  for (const NodeId id : node_set) {
-    for (const std::string& out : node(id).outputs) {
-      bool external = graph_outputs.count(out) > 0;
-      if (!external) {
-        const auto it = ix.legacy_consumers.find(out);
-        if (it != ix.legacy_consumers.end()) {
-          for (const NodeId consumer : it->second) {
-            if (members.count(consumer) == 0) {
-              external = true;
-              break;
-            }
-          }
-        }
-      }
-      if (external) {
-        result.outputs.push_back(out);
       }
     }
   }

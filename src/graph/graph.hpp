@@ -16,15 +16,14 @@
 //     are always current;
 //   * lazy  — producer-of, the CSR consumers adjacency, node-by-name,
 //     per-type node buckets and the cached topological order are rebuilt on
-//     first query after a structural mutation (add_node, non-const node()
-//     access).  Rebuilds are serialized behind a mutex with double-checked
-//     atomic validity flags, so concurrent *const* lookups on a shared graph
-//     are safe once no thread mutates it (call warm_indices() before
-//     fanning a graph out to a thread pool to keep the hot path lock-free).
-//
-// The pre-interning std::map-based lookup code is retained behind
-// LookupMode::kLegacyMaps purely as an A/B baseline for bench_graph_index
-// and the differential fuzz tests; the default mode never touches it.
+//     first query after a structural mutation.  The only structural mutators
+//     are add_node() and mutable_node(); node() and nodes() are const reads
+//     and mutable_attrs() edits unindexed attributes only, so none of them
+//     invalidates anything.  Rebuilds are serialized behind a mutex with
+//     double-checked atomic validity flags, so concurrent *const* lookups on
+//     a shared graph are safe once no thread mutates it (call warm_indices()
+//     before fanning a graph out to a thread pool to keep the hot path
+//     lock-free).
 #pragma once
 
 #include <map>
@@ -83,10 +82,12 @@ class Graph {
   // --- lookup -------------------------------------------------------------
 
   [[nodiscard]] const std::vector<Node>& nodes() const { return nodes_; }
-  [[nodiscard]] std::vector<Node>& nodes() { return nodes_; }
   [[nodiscard]] const Node& node(NodeId id) const;
-  /// Non-const access may rename/rewire the node: invalidates lazy indexes.
-  [[nodiscard]] Node& node(NodeId id);
+  /// Write access for renaming/rewiring a node: invalidates the lazy indexes.
+  [[nodiscard]] Node& mutable_node(NodeId id);
+  /// Write access to a node's attributes only.  Attributes are not indexed,
+  /// so this invalidates nothing.
+  [[nodiscard]] AttrMap& mutable_attrs(NodeId id);
   [[nodiscard]] size_t num_nodes() const { return nodes_.size(); }
 
   /// Ordered tensor table (deterministic iteration for serialization).
@@ -200,23 +201,12 @@ class Graph {
   /// Skips the ~O(names) re-interning and the first-query index rebuild the
   /// plain copy constructor pays — the win the plan cache's per-cell skeleton
   /// instantiation is built on.  Safe to call concurrently from readers of a
-  /// warmed graph (all pure reads).  Under LookupMode::kLegacyMaps only the
-  /// eager tables are cloned (there is no warm structural index to keep);
-  /// interned ids are preserved in every mode.
+  /// warmed graph (all pure reads).  Interned ids are preserved.
   [[nodiscard]] Graph clone_warm() const;
 
   /// Monotonic counter bumped on every structural invalidation; lets callers
   /// detect that cached derived state (spans, topo references) went stale.
   [[nodiscard]] uint64_t index_generation() const;
-
-  /// A/B switch for bench_graph_index and the differential fuzz tests:
-  /// kLegacyMaps re-routes every lookup through the pre-interning
-  /// std::map<std::string, ...> code path (and recomputes topo_order per
-  /// call, as the seed implementation did).  Process-wide; not thread-safe
-  /// to flip while graphs are in use.  Default: kIndexed.
-  enum class LookupMode { kIndexed, kLegacyMaps };
-  static void set_lookup_mode(LookupMode mode);
-  [[nodiscard]] static LookupMode lookup_mode();
 
  private:
   struct Index;
@@ -225,7 +215,7 @@ class Graph {
   /// Re-interns all tensor names / graph outputs after a copy.
   void rebuild_eager_tables();
   /// Interns `name` and keeps the eager id-indexed tables sized.  Const
-  /// because lazy rebuilds may intern names edited through node().
+  /// because lazy rebuilds may intern names edited through mutable_node().
   TensorId intern_name(std::string_view name) const;
   void invalidate_structure();
   /// Double-checked lazy build of the structural (edge) index.
@@ -234,12 +224,6 @@ class Graph {
   const Index& ensure_topo() const;
   void rebuild_edges(Index& ix) const;
   void rebuild_topo(Index& ix) const;
-  void rebuild_legacy(Index& ix) const;
-  std::vector<NodeId> legacy_topo_order() const;
-  [[nodiscard]] std::optional<std::vector<NodeId>> legacy_subgraph_by_io(
-      const std::vector<std::string>& input_tensors,
-      const std::vector<std::string>& output_tensors) const;
-  [[nodiscard]] Boundary legacy_boundary(const std::vector<NodeId>& node_set) const;
 
   std::string name_;
   std::vector<Node> nodes_;

@@ -1,10 +1,14 @@
 // Unit tests: interned-name graph index — string pool round-trips, lazy index
 // invalidation + generation protocol, and a graph-mutation fuzz asserting the
-// id-based, string-based and legacy-map lookup paths agree.
+// id-based and string-based lookup paths agree with a brute-force oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <map>
+#include <optional>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -15,11 +19,6 @@
 
 namespace proof {
 namespace {
-
-/// Restores the process-wide lookup mode when a test exits (even on failure).
-struct LookupModeGuard {
-  ~LookupModeGuard() { Graph::set_lookup_mode(Graph::LookupMode::kIndexed); }
-};
 
 Node make_node(const std::string& name, const std::string& type,
                std::vector<std::string> in, std::vector<std::string> out) {
@@ -123,15 +122,26 @@ TEST(GraphIndex, MutableNodeAccessInvalidates) {
   EXPECT_EQ(g.find_node("b"), 1);
   const uint64_t gen = g.index_generation();
 
-  g.node(1).name = "b_renamed";  // non-const access invalidates
+  g.mutable_node(1).name = "b_renamed";  // write access invalidates
   EXPECT_GT(g.index_generation(), gen);
   EXPECT_EQ(g.find_node("b"), kInvalidNode);
   EXPECT_EQ(g.find_node("b_renamed"), 1);
 
   // Rewiring is picked up too: route c's input straight to ta.
-  g.node(2).inputs = {"ta"};
+  g.mutable_node(2).inputs = {"ta"};
   ASSERT_EQ(g.consumers("ta").size(), 2u);
   EXPECT_TRUE(g.consumers("tb").empty());
+}
+
+TEST(GraphIndex, ReadsAndAttrEditsDoNotInvalidate) {
+  Graph g = chain3();  // non-const: node() must still be a pure read
+  (void)g.topo_order();
+  const uint64_t gen = g.index_generation();
+
+  EXPECT_EQ(g.node(1).name, "b");
+  g.mutable_attrs(1).set("alpha", 0.5);
+  EXPECT_EQ(g.index_generation(), gen);
+  EXPECT_TRUE(g.node(1).attrs.has("alpha"));
 }
 
 TEST(GraphIndex, CachedTopoReferenceStableUntilMutation) {
@@ -172,14 +182,154 @@ TEST(GraphIndex, DuplicateNodeNameSurfacesOnQuery) {
 
 // --- graph-mutation fuzz ------------------------------------------------------
 
+// Brute-force oracle: linear scans and string-keyed sets/maps straight off
+// g.nodes(), sharing nothing with the interned index it checks.
+
+NodeId oracle_producer(const Graph& g, const std::string& tensor) {
+  NodeId last = kInvalidNode;  // last writer wins
+  for (size_t i = 0; i < g.num_nodes(); ++i) {
+    const std::vector<std::string>& outs = g.nodes()[i].outputs;
+    if (std::find(outs.begin(), outs.end(), tensor) != outs.end()) {
+      last = static_cast<NodeId>(i);
+    }
+  }
+  return last;
+}
+
+std::vector<NodeId> oracle_consumers(const Graph& g, const std::string& tensor) {
+  std::vector<NodeId> uses;  // one entry per use, in node order
+  for (size_t i = 0; i < g.num_nodes(); ++i) {
+    for (const std::string& in : g.nodes()[i].inputs) {
+      if (in == tensor) {
+        uses.push_back(static_cast<NodeId>(i));
+      }
+    }
+  }
+  return uses;
+}
+
+NodeId oracle_find_node(const Graph& g, const std::string& name) {
+  for (size_t i = 0; i < g.num_nodes(); ++i) {
+    if (g.nodes()[i].name == name) {
+      return static_cast<NodeId>(i);
+    }
+  }
+  return kInvalidNode;
+}
+
+/// Kahn's algorithm over name-keyed maps with a FIFO ready queue seeded in
+/// node order — the visit order the cached topo_order() promises.
+std::vector<NodeId> oracle_topo(const Graph& g) {
+  const std::vector<Node>& nodes = g.nodes();
+  std::map<std::string, NodeId> producer;
+  std::map<std::string, std::vector<NodeId>> consumers;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    for (const std::string& out : nodes[i].outputs) {
+      producer[out] = static_cast<NodeId>(i);
+    }
+    for (const std::string& in : nodes[i].inputs) {
+      consumers[in].push_back(static_cast<NodeId>(i));
+    }
+  }
+  std::vector<int> in_degree(nodes.size(), 0);
+  std::deque<NodeId> ready;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    for (const std::string& in : nodes[i].inputs) {
+      in_degree[i] += producer.count(in) > 0 ? 1 : 0;
+    }
+    if (in_degree[i] == 0) {
+      ready.push_back(static_cast<NodeId>(i));
+    }
+  }
+  std::vector<NodeId> order;
+  while (!ready.empty()) {
+    const NodeId id = ready.front();
+    ready.pop_front();
+    order.push_back(id);
+    for (const std::string& out : nodes[static_cast<size_t>(id)].outputs) {
+      for (const NodeId c : consumers[out]) {
+        if (--in_degree[static_cast<size_t>(c)] == 0) {
+          ready.push_back(c);
+        }
+      }
+    }
+  }
+  return order;
+}
+
+bool oracle_is_param(const Graph& g, const std::string& tensor) {
+  const auto it = g.tensors().find(tensor);
+  return it != g.tensors().end() && it->second.is_param;
+}
+
+Graph::Boundary oracle_boundary(const Graph& g, const std::vector<NodeId>& set) {
+  const std::set<NodeId> members(set.begin(), set.end());
+  std::set<std::string> produced;
+  for (const NodeId id : set) {
+    produced.insert(g.node(id).outputs.begin(), g.node(id).outputs.end());
+  }
+  Graph::Boundary b;
+  std::set<std::string> seen;
+  for (const NodeId id : set) {
+    for (const std::string& in : g.node(id).inputs) {
+      if (produced.count(in) > 0 || !seen.insert(in).second) {
+        continue;
+      }
+      (oracle_is_param(g, in) ? b.params : b.inputs).push_back(in);
+    }
+  }
+  const std::set<std::string> graph_outputs(g.outputs().begin(), g.outputs().end());
+  for (const NodeId id : set) {
+    for (const std::string& out : g.node(id).outputs) {
+      bool external = graph_outputs.count(out) > 0;
+      for (const NodeId c : oracle_consumers(g, out)) {
+        external = external || members.count(c) == 0;
+      }
+      if (external) {
+        b.outputs.push_back(out);
+      }
+    }
+  }
+  return b;
+}
+
+std::optional<std::vector<NodeId>> oracle_subgraph(const Graph& g,
+                                                   const std::vector<std::string>& ins,
+                                                   const std::vector<std::string>& outs) {
+  const std::set<std::string> stop(ins.begin(), ins.end());
+  std::set<NodeId> visited;
+  std::deque<NodeId> frontier;
+  const auto visit = [&](const std::string& tensor) {
+    const NodeId p = oracle_producer(g, tensor);
+    if (p != kInvalidNode && visited.insert(p).second) {
+      frontier.push_back(p);
+    }
+    return p != kInvalidNode;
+  };
+  for (const std::string& out : outs) {
+    if (!visit(out)) {
+      return std::nullopt;
+    }
+  }
+  while (!frontier.empty()) {
+    const NodeId id = frontier.front();
+    frontier.pop_front();
+    for (const std::string& in : g.node(id).inputs) {
+      if (stop.count(in) == 0 && !oracle_is_param(g, in) && !visit(in)) {
+        return std::nullopt;  // escaped the declared boundary
+      }
+    }
+  }
+  return std::vector<NodeId>(visited.begin(), visited.end());
+}
+
 /// Asserts that the string-keyed and id-keyed lookup APIs agree on `g`, and
-/// that the indexed implementation matches the legacy std::map baseline.
+/// that the indexed results match the brute-force oracle above.
 void expect_lookup_agreement(const Graph& g) {
-  // String API vs id API, in the default indexed mode.
-  Graph::set_lookup_mode(Graph::LookupMode::kIndexed);
   for (size_t i = 0; i < g.num_nodes(); ++i) {
     const Node& n = g.node(static_cast<NodeId>(i));
     ASSERT_EQ(g.find_node(n.name), static_cast<NodeId>(i));
+    EXPECT_EQ(oracle_find_node(g, n.name), static_cast<NodeId>(i));
     const auto in_ids = g.node_input_ids(static_cast<NodeId>(i));
     ASSERT_EQ(in_ids.size(), n.inputs.size());
     for (size_t k = 0; k < n.inputs.size(); ++k) {
@@ -192,63 +342,50 @@ void expect_lookup_agreement(const Graph& g) {
       EXPECT_EQ(out_ids[k], g.tensor_id(n.outputs[k]));
     }
   }
-  std::vector<std::string> tensor_names;
   for (const auto& [name, desc] : g.tensors()) {
-    tensor_names.push_back(name);
     const TensorId id = g.tensor_id(name);
     ASSERT_NE(id, kInvalidTensor) << name;
     EXPECT_EQ(g.has_tensor(name), g.has_tensor(id));
     EXPECT_EQ(&g.tensor(name), &g.tensor(id));
     EXPECT_EQ(g.producer(name), g.producer(id));
+    EXPECT_EQ(g.producer(name), oracle_producer(g, name)) << name;
     const auto by_name = g.consumers(name);
     const auto by_id = g.consumers(id);
     ASSERT_TRUE(std::equal(by_name.begin(), by_name.end(), by_id.begin(),
                            by_id.end()));
+    const std::vector<NodeId> expected = oracle_consumers(g, name);
+    EXPECT_TRUE(std::equal(by_name.begin(), by_name.end(), expected.begin(),
+                           expected.end()))
+        << name;
+  }
+  for (const char* type : {"Relu", "Add"}) {
+    const auto bucket = g.nodes_of_type(type);
+    std::vector<NodeId> expected;
+    for (size_t i = 0; i < g.num_nodes(); ++i) {
+      if (g.nodes()[i].op_type == type) {
+        expected.push_back(static_cast<NodeId>(i));
+      }
+    }
+    EXPECT_TRUE(std::equal(bucket.begin(), bucket.end(), expected.begin(),
+                           expected.end()))
+        << type;
   }
 
-  // Indexed vs legacy baseline: snapshot under kIndexed...
-  const std::vector<NodeId> topo_indexed = g.topo_order();
-  std::vector<NodeId> producers_indexed;
-  std::vector<std::vector<NodeId>> consumers_indexed;
-  for (const std::string& name : tensor_names) {
-    producers_indexed.push_back(g.producer(name));
-    const auto c = g.consumers(name);
-    consumers_indexed.emplace_back(c.begin(), c.end());
-  }
+  EXPECT_EQ(g.topo_order(), oracle_topo(g));
   std::vector<NodeId> all_nodes(g.num_nodes());
   for (size_t i = 0; i < all_nodes.size(); ++i) {
     all_nodes[i] = static_cast<NodeId>(i);
   }
-  const Graph::Boundary boundary_indexed = g.boundary(all_nodes);
-  const auto subgraph_indexed =
-      g.subgraph_by_io(boundary_indexed.inputs, boundary_indexed.outputs);
-
-  // ... and compare against the legacy map implementation.
-  LookupModeGuard guard;
-  Graph::set_lookup_mode(Graph::LookupMode::kLegacyMaps);
-  EXPECT_EQ(g.topo_order(), topo_indexed);
-  for (size_t i = 0; i < tensor_names.size(); ++i) {
-    EXPECT_EQ(g.producer(tensor_names[i]), producers_indexed[i]) << tensor_names[i];
-    const auto c = g.consumers(tensor_names[i]);
-    EXPECT_TRUE(std::equal(c.begin(), c.end(), consumers_indexed[i].begin(),
-                           consumers_indexed[i].end()))
-        << tensor_names[i];
-  }
-  for (size_t i = 0; i < g.num_nodes(); ++i) {
-    EXPECT_EQ(g.find_node(g.node(static_cast<NodeId>(i)).name),
-              static_cast<NodeId>(i));
-  }
-  const Graph::Boundary boundary_legacy = g.boundary(all_nodes);
-  EXPECT_EQ(boundary_legacy.inputs, boundary_indexed.inputs);
-  EXPECT_EQ(boundary_legacy.outputs, boundary_indexed.outputs);
-  EXPECT_EQ(boundary_legacy.params, boundary_indexed.params);
-  const auto subgraph_legacy =
-      g.subgraph_by_io(boundary_indexed.inputs, boundary_indexed.outputs);
-  EXPECT_EQ(subgraph_legacy, subgraph_indexed);
+  const Graph::Boundary boundary = g.boundary(all_nodes);
+  const Graph::Boundary expected = oracle_boundary(g, all_nodes);
+  EXPECT_EQ(boundary.inputs, expected.inputs);
+  EXPECT_EQ(boundary.outputs, expected.outputs);
+  EXPECT_EQ(boundary.params, expected.params);
+  EXPECT_EQ(g.subgraph_by_io(boundary.inputs, boundary.outputs),
+            oracle_subgraph(g, expected.inputs, expected.outputs));
 }
 
 TEST(GraphIndexFuzz, RandomMutationsKeepAllLookupPathsInAgreement) {
-  LookupModeGuard guard;
   std::mt19937 rng(20260806);
   for (int round = 0; round < 8; ++round) {
     Graph g("fuzz_" + std::to_string(round));
@@ -282,7 +419,7 @@ TEST(GraphIndexFuzz, RandomMutationsKeepAllLookupPathsInAgreement) {
       } else {
         // Rename a random node through the mutable accessor.
         const NodeId victim = static_cast<NodeId>(rng() % g.num_nodes());
-        g.node(victim).name = "renamed_" + std::to_string(fresh++);
+        g.mutable_node(victim).name = "renamed_" + std::to_string(fresh++);
       }
       if (m % 7 == 0) {
         expect_lookup_agreement(g);
