@@ -97,11 +97,11 @@ int main(int argc, char** argv) {
   table.add_row({"serial, cached", units::ms(cached.seconds),
                  units::fixed(speedup_cached, 2) + "x",
                  std::to_string(cached.cache.engine_hits),
-                 std::to_string(cached.cache.plan_hits)});
+                 std::to_string(cached.cache.plan_cache_hits)});
   table.add_row({"4 jobs, cached", units::ms(parallel4.seconds),
                  units::fixed(speedup_parallel, 2) + "x",
                  std::to_string(parallel4.cache.engine_hits),
-                 std::to_string(parallel4.cache.plan_hits)});
+                 std::to_string(parallel4.cache.plan_cache_hits)});
   std::cout << table.to_string();
   std::cout << "outputs byte-identical across modes: "
             << (identical ? "yes" : "NO — DETERMINISM VIOLATION") << "\n";
@@ -120,8 +120,8 @@ int main(int argc, char** argv) {
        << "    \"engine_hits\": " << parallel4.cache.engine_hits << ",\n"
        << "    \"engine_misses\": " << parallel4.cache.engine_misses << ",\n"
        << "    \"engine_hit_rate\": " << parallel4.cache.engine_hit_rate() << ",\n"
-       << "    \"plan_hits\": " << parallel4.cache.plan_hits << ",\n"
-       << "    \"plan_misses\": " << parallel4.cache.plan_misses << ",\n"
+       << "    \"plan_cache_hits\": " << parallel4.cache.plan_cache_hits << ",\n"
+       << "    \"plan_cache_misses\": " << parallel4.cache.plan_cache_misses << ",\n"
        << "    \"plan_hit_rate\": " << parallel4.cache.plan_hit_rate() << "\n"
        << "  },\n"
        << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()

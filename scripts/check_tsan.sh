@@ -12,8 +12,8 @@
 # suite), and the LLM decode sweep (batch x position grid fanned out over
 # the pool with index-written points, plus its own jobs-1-vs-4 byte-identity
 # test), and the shape-polymorphic AnalysisPlan cache (mixed batch sizes
-# instantiating one shared frozen plan concurrently, eviction under a
-# capacity bound, and the disabled legacy fallback).  Any data race in the
+# instantiating one shared frozen plan concurrently, and eviction under a
+# capacity bound).  Any data race in the
 # pool, the cache's shared PreparedEngine entries, the graphs' lazy index
 # maps, the obs shards or the daemon's session teardown fails the run.
 #

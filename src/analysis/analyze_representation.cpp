@@ -12,11 +12,6 @@ AnalyzeRepresentation::AnalyzeRepresentation(Graph graph) {
   refresh();
 }
 
-AnalyzeRepresentation::AnalyzeRepresentation(Graph graph, TrustedGraphTag)
-    : graph_(std::make_shared<const Graph>(std::move(graph))) {
-  refresh();
-}
-
 AnalyzeRepresentation::AnalyzeRepresentation(std::shared_ptr<const Graph> graph,
                                              TrustedGraphTag)
     : graph_(std::move(graph)) {

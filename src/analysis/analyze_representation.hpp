@@ -31,12 +31,10 @@ class AnalyzeRepresentation {
 
   /// Tag for graphs the caller guarantees are already validated and
   /// shape-inferred (plan-cache instantiations replay a previously validated
-  /// skeleton through one infer_shapes pass); skips both and only runs the
+  /// skeleton through one infer_shapes pass); skips both, shares the frozen
+  /// graph (typically the engine's) instead of copying it, and only runs the
   /// per-node analysis.
   struct TrustedGraphTag {};
-  AnalyzeRepresentation(Graph graph, TrustedGraphTag tag);
-  /// Same trust contract, but shares an already-frozen graph (typically the
-  /// engine's) instead of copying it.
   AnalyzeRepresentation(std::shared_ptr<const Graph> graph, TrustedGraphTag tag);
 
   [[nodiscard]] const Graph& graph() const { return *graph_; }

@@ -1,4 +1,4 @@
-// Shape-polymorphic analysis plans (the third PrepCache level).
+// Shape-polymorphic analysis plans (the PrepCache plan level).
 //
 // Every structural decision a profile run makes — fusion partition, lowering
 // recipes (layer/kernel names, fused members, segmentation), layer mapping,
@@ -7,7 +7,7 @@
 // DVFS clocks only change tensor shapes, and every shape-dependent number the
 // analysis emits (FLOPs, bytes, latency, power, roofline terms) is closed-form
 // in those shapes.  An AnalysisPlan freezes the structure phase once per
-// shape-erased structural fingerprint (FingerprintMode::kStructural) so sweep
+// shape-erased structural fingerprint (GraphKeys::structural) so sweep
 // inner loops replace the full prepare pipeline with a cheap instantiation:
 //
 //   1. copy the frozen skeleton graph (canonical prepared graph),

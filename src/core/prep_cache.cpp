@@ -80,7 +80,7 @@ void mix_attrs(Fnv& fnv, const AttrMap& attrs) {
   }
 }
 
-/// Single-traversal fingerprint core: mixes the graph into the exact and/or
+/// Single-traversal fingerprint core: mixes the graph into the exact and the
 /// structural accumulator so compute_graph_keys pays one walk for both keys.
 ///
 /// The structural stream is shape-erased: the graph name is dropped (decode
@@ -90,20 +90,11 @@ void mix_attrs(Fnv& fnv, const AttrMap& attrs) {
 /// replay) and node attrs stay verbatim: attrs are structural inputs to
 /// fusion/lowering, and the per-cell attr divergence set_batch_size creates
 /// is handled by instantiate_plan_graph's attr restoration, never by the key.
-void mix_graph(const Graph& model, Fnv* exact, Fnv* structural) {
-  if (exact != nullptr) {
-    exact->mix(model.name());
-  }
-  if (structural != nullptr) {
-    structural->mix(static_cast<uint64_t>(FingerprintMode::kStructural));
-  }
+void mix_graph(const Graph& model, Fnv& exact, Fnv& structural) {
+  exact.mix(model.name());
   const auto both = [&](const auto& v) {
-    if (exact != nullptr) {
-      exact->mix(v);
-    }
-    if (structural != nullptr) {
-      structural->mix(v);
-    }
+    exact.mix(v);
+    structural.mix(v);
   };
   for (const std::string& in : model.inputs()) {
     both(in);
@@ -121,50 +112,32 @@ void mix_graph(const Graph& model, Fnv* exact, Fnv* structural) {
     for (const std::string& t : node.outputs) {
       both(t);
     }
-    if (exact != nullptr) {
-      mix_attrs(*exact, node.attrs);
-    }
-    if (structural != nullptr) {
-      mix_attrs(*structural, node.attrs);
-    }
+    mix_attrs(exact, node.attrs);
+    mix_attrs(structural, node.attrs);
   }
   for (const auto& [name, desc] : model.tensors()) {
     both(name);
     both(static_cast<uint64_t>(desc.dtype));
     both(static_cast<uint64_t>(desc.is_param ? 1 : 0));
-    if (exact != nullptr) {
-      for (const int64_t dim : desc.shape.dims()) {
-        exact->mix(static_cast<uint64_t>(dim));
-      }
+    for (const int64_t dim : desc.shape.dims()) {
+      exact.mix(static_cast<uint64_t>(dim));
     }
-    if (structural != nullptr) {
-      if (desc.is_param) {
-        for (const int64_t dim : desc.shape.dims()) {
-          structural->mix(static_cast<uint64_t>(dim));
-        }
-      } else {
-        structural->mix(static_cast<uint64_t>(desc.shape.rank()));
+    if (desc.is_param) {
+      for (const int64_t dim : desc.shape.dims()) {
+        structural.mix(static_cast<uint64_t>(dim));
       }
+    } else {
+      structural.mix(static_cast<uint64_t>(desc.shape.rank()));
     }
   }
 }
 
 }  // namespace
 
-uint64_t graph_fingerprint(const Graph& model, FingerprintMode mode) {
-  Fnv fnv;
-  if (mode == FingerprintMode::kExact) {
-    mix_graph(model, &fnv, nullptr);
-  } else {
-    mix_graph(model, nullptr, &fnv);
-  }
-  return fnv.value();
-}
-
 GraphKeys compute_graph_keys(const Graph& model) {
   Fnv exact;
   Fnv structural;
-  mix_graph(model, &exact, &structural);
+  mix_graph(model, exact, structural);
   return GraphKeys{exact.value(), structural.value()};
 }
 
@@ -178,15 +151,8 @@ PreparedEngine::PreparedEngine(backends::Engine engine_in,
       mapping(std::move(mapping_in)) {}
 
 PreparedEngine::PreparedEngine(backends::Engine engine_in,
-                               mapping::LayerMapping mapping_in, PreInferredTag)
-    : engine(std::move(engine_in)),
-      ar(engine.shared_analysis_graph(), AnalyzeRepresentation::TrustedGraphTag{}),
-      oar(ar),
-      mapping(std::move(mapping_in)) {}
-
-PreparedEngine::PreparedEngine(backends::Engine engine_in,
                                mapping::LayerMapping mapping_in,
-                               AnalyzeRepresentation ar_in, PreInferredTag)
+                               AnalyzeRepresentation ar_in)
     : engine(std::move(engine_in)),
       ar(std::move(ar_in)),
       oar(ar),
@@ -195,16 +161,6 @@ PreparedEngine::PreparedEngine(backends::Engine engine_in,
 // --- PrepCache ---------------------------------------------------------------
 
 namespace {
-
-/// Forces a graph's lazy name/producer/consumer indices to exist so every
-/// later const lookup on a shared entry is a pure read (the indices are
-/// rebuilt on first use otherwise — a data race across threads).
-void warm_graph_indices(const Graph& g) { g.warm_indices(); }
-
-struct PlanEntry {
-  backends::BuildPlan plan;
-  mapping::LayerMapping mapping;
-};
 
 using PlanKey = std::tuple<uint64_t, std::string, std::string, DType>;
 using EngineKey = std::tuple<uint64_t, std::string, std::string, DType, int64_t>;
@@ -219,10 +175,6 @@ bool env_flag_enabled(const char* name) {
 }
 
 bool env_enables_cache() { return env_flag_enabled("PROOF_PREP_CACHE"); }
-
-/// A/B switch for the shape-polymorphic AnalysisPlan level; off falls back
-/// to the legacy exact-fingerprint plan level (the seed path).
-bool env_enables_plan_cache() { return env_flag_enabled("PROOF_PLAN_CACHE"); }
 
 size_t env_capacity_or(const char* name, size_t fallback) {
   const char* env = std::getenv(name);
@@ -244,19 +196,16 @@ size_t env_plan_capacity() {
   return env_capacity_or("PROOF_PLAN_CACHE_CAP", 128);
 }
 
-/// Builds a PreparedEngine, reusing `cached_plan`'s fusion plan + mapping when
-/// provided; fills `*out_plan` (when non-null) for legacy plan-level
-/// publication and `*out_analysis_plan` (when non-null) with the frozen
-/// shape-polymorphic structure phase for AnalysisPlan publication.
+/// Runs the full (a)-(d) pipeline; fills `*out_analysis_plan` (when non-null)
+/// with the frozen structure phase for AnalysisPlan publication.
 std::shared_ptr<const PreparedEngine> build_prepared(
     const Graph& model, const backends::Backend& backend,
     const hw::PlatformDesc& platform, const backends::BuildConfig& config,
-    const PlanEntry* cached_plan, std::optional<PlanEntry>* out_plan,
     std::optional<AnalysisPlan>* out_analysis_plan = nullptr) {
   Graph prepared = backends::prepare_model(model, config, platform);
-  backends::BuildPlan plan = [&] {
+  const backends::BuildPlan plan = [&] {
     PROOF_SPAN("prepare.plan");
-    return cached_plan != nullptr ? cached_plan->plan : backend.plan(prepared);
+    return backend.plan(prepared);
   }();
   backends::Engine engine = [&] {
     PROOF_SPAN("prepare.lower");
@@ -267,26 +216,19 @@ std::shared_ptr<const PreparedEngine> build_prepared(
   const double t0 = now_s();
   auto entry = std::make_shared<PreparedEngine>(std::move(engine),
                                                 mapping::LayerMapping{});
-  if (cached_plan != nullptr) {
-    entry->mapping = cached_plan->mapping;
-    mapping::apply_mapping(entry->engine, entry->oar, entry->mapping);
-  } else {
-    entry->mapping = mapping::map_layers(entry->engine, entry->oar);
-  }
+  entry->mapping = mapping::map_layers(entry->engine, entry->oar);
   entry->mapping_coverage = entry->mapping.node_coverage(entry->ar.num_nodes());
   entry->unmapped_layers = entry->mapping.count(mapping::MapMethod::kUnmapped);
   entry->analysis_time_s = now_s() - t0;
 
-  // Shared entries are read concurrently; materialize every lazy index now.
-  warm_graph_indices(entry->engine.analysis_graph());
-  warm_graph_indices(entry->ar.graph());
+  // Shared entries are read concurrently; materialize every lazy index now
+  // (a const lookup is otherwise a first-use write — a data race).
+  entry->engine.analysis_graph().warm_indices();
+  entry->ar.graph().warm_indices();
 
   if (out_analysis_plan != nullptr) {
     *out_analysis_plan =
         build_analysis_plan(entry->engine, plan, entry->mapping);
-  }
-  if (out_plan != nullptr) {
-    *out_plan = PlanEntry{std::move(plan), entry->mapping};
   }
   return entry;
 }
@@ -322,18 +264,17 @@ std::shared_ptr<const PreparedEngine> instantiate_prepared(
                           plan.stream_policy);
 
   const double t1 = now_s();
-  auto entry = std::make_shared<PreparedEngine>(
-      std::move(engine), plan.mapping, std::move(ar),
-      PreparedEngine::PreInferredTag{});
+  auto entry = std::make_shared<PreparedEngine>(std::move(engine),
+                                                plan.mapping, std::move(ar));
   mapping::apply_mapping(entry->engine, entry->oar, entry->mapping,
-                         &plan.mapping_node_ids);
+                         plan.mapping_node_ids);
   entry->mapping_coverage = plan.mapping_coverage;
   entry->unmapped_layers = plan.unmapped_layers;
   entry->analysis_time_s = analysis_s + (now_s() - t1);
 
   // Engine and AR share one analysis graph here; one warm covers both (and
   // clone_warm already produced it warm — this is a cheap validity check).
-  warm_graph_indices(entry->engine.analysis_graph());
+  entry->engine.analysis_graph().warm_indices();
   return entry;
 }
 
@@ -342,7 +283,7 @@ std::shared_ptr<const PreparedEngine> instantiate_prepared(
 std::shared_ptr<const PreparedEngine> prepare_engine(
     const Graph& model, const backends::Backend& backend,
     const hw::PlatformDesc& platform, const backends::BuildConfig& config) {
-  return build_prepared(model, backend, platform, config, nullptr, nullptr);
+  return build_prepared(model, backend, platform, config);
 }
 
 struct PrepCache::Impl {
@@ -353,12 +294,8 @@ struct PrepCache::Impl {
   std::map<EngineKey, std::shared_future<std::shared_ptr<const PreparedEngine>>>
       engines;
   std::list<EngineKey> engine_order;  ///< insertion order, for FIFO eviction
-  std::map<PlanKey, std::shared_future<std::shared_ptr<const PlanEntry>>> plans;
 
-  // Shape-polymorphic AnalysisPlan level.  Keyed on the *structural*
-  // fingerprint (PlanKey's hash slot holds the structural value here, the
-  // exact value in `plans` above); unused while plan_cache_enabled is false.
-  bool plan_cache_enabled = env_enables_plan_cache();
+  // AnalysisPlan level, keyed on the *structural* fingerprint.
   size_t plan_capacity = env_plan_capacity();
   std::map<PlanKey, std::shared_future<std::shared_ptr<const AnalysisPlan>>>
       analysis_plans;
@@ -379,7 +316,6 @@ void PrepCache::clear() {
   std::lock_guard<std::mutex> lock(impl_->mu);
   impl_->engines.clear();
   impl_->engine_order.clear();
-  impl_->plans.clear();
   impl_->analysis_plans.clear();
   impl_->plan_order.clear();
 }
@@ -434,16 +370,6 @@ void PrepCache::set_capacity(size_t capacity) {
   }
 }
 
-void PrepCache::set_plan_cache_enabled(bool enabled) {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  impl_->plan_cache_enabled = enabled;
-}
-
-bool PrepCache::plan_cache_enabled() const {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->plan_cache_enabled;
-}
-
 size_t PrepCache::plan_cache_size() const {
   std::lock_guard<std::mutex> lock(impl_->mu);
   return impl_->analysis_plans.size();
@@ -485,23 +411,16 @@ std::shared_ptr<const PreparedEngine> PrepCache::get_or_prepare(
       keys != nullptr ? *keys : compute_graph_keys(model);
   const EngineKey ekey{graph_keys.exact, backend.id(), platform.id,
                        config.dtype, config.batch};
-  const PlanKey pkey{graph_keys.exact, backend.id(), platform.id, config.dtype};
   const PlanKey skey{graph_keys.structural, backend.id(), platform.id,
                      config.dtype};
 
   // Registered under the lock when this call is the builder for its key, so
   // concurrent callers of the same key wait on the winner's in-flight build.
+  // An engine miss either joins a published plan (aplan_future) or becomes the
+  // builder of its structural key too (aplan_promise).
   std::promise<std::shared_ptr<const PreparedEngine>> engine_promise;
-  std::optional<std::promise<std::shared_ptr<const PlanEntry>>> plan_promise;
-  std::shared_future<std::shared_ptr<const PlanEntry>> plan_future;
-  bool have_plan_future = false;
-
-  // Shape-polymorphic level (used instead of the legacy level when enabled).
-  bool use_plan_cache = false;
-  std::optional<std::promise<std::shared_ptr<const AnalysisPlan>>>
-      aplan_promise;
+  std::optional<std::promise<std::shared_ptr<const AnalysisPlan>>> aplan_promise;
   std::shared_future<std::shared_ptr<const AnalysisPlan>> aplan_future;
-  bool have_aplan_future = false;
 
   std::shared_future<std::shared_ptr<const PreparedEngine>> ready;
   bool is_hit = false;
@@ -527,56 +446,32 @@ std::shared_ptr<const PreparedEngine> PrepCache::get_or_prepare(
       ready = impl_->engines.emplace(ekey, engine_promise.get_future().share())
                   .first->second;
       impl_->engine_order.push_back(ekey);
-      use_plan_cache = impl_->plan_cache_enabled;
-      if (use_plan_cache) {
-        // AnalysisPlan level: structural-fingerprint keyed, shared across
-        // batch sizes and decode positions.  Its hits/misses also count into
-        // plan_hits/plan_misses — a plan-cache hit skips the same fusion
-        // planning + mapping search the legacy level skipped.
-        const auto ait = impl_->analysis_plans.find(skey);
-        if (ait != impl_->analysis_plans.end()) {
-          ++impl_->stats.plan_hits;
-          ++impl_->stats.plan_cache_hits;
-          PROOF_COUNT("prep_cache.plan_hits", 1);
-          PROOF_COUNT("plan_cache.hits", 1);
-          aplan_future = ait->second;
-          have_aplan_future = true;
-        } else {
-          ++impl_->stats.plan_misses;
-          ++impl_->stats.plan_cache_misses;
-          PROOF_COUNT("prep_cache.plan_misses", 1);
-          PROOF_COUNT("plan_cache.misses", 1);
-          aplan_promise.emplace();
-          impl_->analysis_plans.emplace(skey,
-                                        aplan_promise->get_future().share());
-          impl_->plan_order.push_back(skey);
-          // FIFO memory backstop; never evict the plan just inserted.
-          while (impl_->plan_capacity != 0 &&
-                 impl_->plan_order.size() > impl_->plan_capacity) {
-            const PlanKey victim = impl_->plan_order.front();
-            impl_->plan_order.pop_front();
-            if (!(victim == skey)) {
-              impl_->analysis_plans.erase(victim);
-              ++impl_->stats.plan_cache_evictions;
-              PROOF_COUNT("plan_cache.evictions", 1);
-            } else {
-              impl_->plan_order.push_back(victim);
-              break;
-            }
-          }
-        }
+      // AnalysisPlan level: structural-fingerprint keyed, shared across batch
+      // sizes and decode positions.
+      const auto ait = impl_->analysis_plans.find(skey);
+      if (ait != impl_->analysis_plans.end()) {
+        ++impl_->stats.plan_cache_hits;
+        PROOF_COUNT("plan_cache.hits", 1);
+        aplan_future = ait->second;
       } else {
-        const auto pit = impl_->plans.find(pkey);
-        if (pit != impl_->plans.end()) {
-          ++impl_->stats.plan_hits;
-          PROOF_COUNT("prep_cache.plan_hits", 1);
-          plan_future = pit->second;
-          have_plan_future = true;
-        } else {
-          ++impl_->stats.plan_misses;
-          PROOF_COUNT("prep_cache.plan_misses", 1);
-          plan_promise.emplace();
-          impl_->plans.emplace(pkey, plan_promise->get_future().share());
+        ++impl_->stats.plan_cache_misses;
+        PROOF_COUNT("plan_cache.misses", 1);
+        aplan_promise.emplace();
+        impl_->analysis_plans.emplace(skey, aplan_promise->get_future().share());
+        impl_->plan_order.push_back(skey);
+        // FIFO memory backstop; never evict the plan just inserted.
+        while (impl_->plan_capacity != 0 &&
+               impl_->plan_order.size() > impl_->plan_capacity) {
+          const PlanKey victim = impl_->plan_order.front();
+          impl_->plan_order.pop_front();
+          if (!(victim == skey)) {
+            impl_->analysis_plans.erase(victim);
+            ++impl_->stats.plan_cache_evictions;
+            PROOF_COUNT("plan_cache.evictions", 1);
+          } else {
+            impl_->plan_order.push_back(victim);
+            break;
+          }
         }
       }
       // FIFO memory backstop; never evict the entry just inserted.
@@ -603,7 +498,7 @@ std::shared_ptr<const PreparedEngine> PrepCache::get_or_prepare(
   // This call is the builder for its key.
   try {
     std::shared_ptr<const PreparedEngine> entry;
-    if (use_plan_cache && have_aplan_future) {
+    if (aplan_future.valid()) {
       // Structural hit: instantiate the frozen plan.  A fingerprint collision
       // (structurally incompatible graph) or an instantiation error falls
       // back to a full build without touching the published plan.
@@ -622,16 +517,14 @@ std::shared_ptr<const PreparedEngine> PrepCache::get_or_prepare(
         PROOF_COUNT("plan_cache.collisions", 1);
       }
       if (entry == nullptr) {
-        entry = build_prepared(model, backend, platform, config, nullptr,
-                               nullptr);
+        entry = build_prepared(model, backend, platform, config);
       }
-    } else if (use_plan_cache) {
+    } else {
       // This call is also the builder for its structural key: run the full
       // pipeline once and freeze the structure phase for every later cell.
       const auto t0 = std::chrono::steady_clock::now();
       std::optional<AnalysisPlan> built_aplan;
-      entry = build_prepared(model, backend, platform, config, nullptr,
-                             nullptr, &built_aplan);
+      entry = build_prepared(model, backend, platform, config, &built_aplan);
       aplan_promise->set_value(
           std::make_shared<const AnalysisPlan>(std::move(*built_aplan)));
       const uint64_t build_ns = static_cast<uint64_t>(
@@ -643,26 +536,12 @@ std::shared_ptr<const PreparedEngine> PrepCache::get_or_prepare(
         impl_->stats.plan_cache_build_ns += build_ns;
       }
       PROOF_COUNT("plan_cache.build_ns", build_ns);
-    } else {
-      const std::shared_ptr<const PlanEntry> plan_entry =
-          have_plan_future ? plan_future.get() : nullptr;
-      std::optional<PlanEntry> built_plan;
-      entry =
-          build_prepared(model, backend, platform, config, plan_entry.get(),
-                         plan_promise.has_value() ? &built_plan : nullptr);
-      if (plan_promise.has_value()) {
-        plan_promise->set_value(
-            std::make_shared<const PlanEntry>(std::move(*built_plan)));
-      }
     }
     engine_promise.set_value(entry);
     return entry;
   } catch (...) {
     // Publish the failure to current waiters, then drop the keys so later
     // calls rebuild instead of replaying a stale error.
-    if (plan_promise.has_value()) {
-      plan_promise->set_exception(std::current_exception());
-    }
     if (aplan_promise.has_value()) {
       aplan_promise->set_exception(std::current_exception());
     }
@@ -671,9 +550,6 @@ std::shared_ptr<const PreparedEngine> PrepCache::get_or_prepare(
       std::lock_guard<std::mutex> lock(impl_->mu);
       impl_->engines.erase(ekey);
       impl_->engine_order.remove(ekey);
-      if (plan_promise.has_value()) {
-        impl_->plans.erase(pkey);
-      }
       if (aplan_promise.has_value()) {
         impl_->analysis_plans.erase(skey);
         impl_->plan_order.remove(skey);

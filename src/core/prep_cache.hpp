@@ -12,33 +12,28 @@
 // the analytical path (§4.2) only survives at production sweep sizes with
 // memoization.
 //
-// Two cache levels, both keyed on a structural fingerprint of the model:
-//  * plan level   (model, backend, platform, dtype):  the BuildPlan from (a)
-//    and the LayerMapping from (d) — reused across batch sizes; a 12-point
-//    batch sweep runs fusion planning and the mapping search once.
-//  * engine level (model, backend, platform, dtype, batch): the fully built
-//    PreparedEngine from (a)-(d) — reused across clock settings, metric
-//    modes and repeated runs (clock/power searches, distributed partition
-//    searches, report regeneration).
+// Two cache levels:
+//  * engine level (model, backend, platform, dtype, batch), keyed on the
+//    exact fingerprint: the fully built PreparedEngine from (a)-(d) — reused
+//    across clock settings, metric modes and repeated runs (clock/power
+//    searches, distributed partition searches, report regeneration).
+//  * plan level (model, backend, platform, dtype), keyed on the *shape-erased*
+//    structural fingerprint: the frozen AnalysisPlan (core/analysis_plan.hpp)
+//    — fusion partition, lowering recipes, layer mapping, stream policy.  The
+//    structural key hashes op types / attributes / connectivity but
+//    symbolizes batch and sequence dims, so every cell of a sweep grid that
+//    differs only in batch or KV position — and every decode-step graph of
+//    the same LLM config at a different position — shares one structure
+//    phase.  An engine miss that hits a plan replaces the full prepare
+//    pipeline with a cheap instantiation: one graph copy, one shape inference
+//    pass, closed-form kernel re-evaluation, and a mapping replay.
 // Shape-dependent metrics (kernel work sizes, per-node FLOP/bytes) are always
-// recomputed per batch; cached artifacts are immutable after construction and
+// recomputed per cell; cached artifacts are immutable after construction and
 // shared across threads.
 //
-// Disable with PROOF_PREP_CACHE=0 (or set_enabled(false)) to get the
-// build-everything-every-time behaviour; results are identical either way.
-//
-// A third, shape-polymorphic level sits behind the engine level: the
-// AnalysisPlan cache (core/analysis_plan.hpp).  It is keyed on a
-// *shape-erased* structural fingerprint (FingerprintMode::kStructural) that
-// hashes op types / attributes / connectivity but symbolizes batch and
-// sequence dims, so every cell of a sweep grid that differs only in batch or
-// KV position — and every decode-step graph of the same LLM config at a
-// different position — shares one frozen structure phase (fusion partition,
-// lowering recipes, layer mapping, stream policy).  A plan hit replaces the
-// full prepare pipeline with a cheap instantiation: one graph copy, one shape
-// inference pass, closed-form kernel re-evaluation, and a mapping replay.
-// Disable with PROOF_PLAN_CACHE=0 (or set_plan_cache_enabled(false)) for the
-// A/B legacy path; reports are byte-identical either way.
+// The uncached prepare_engine below is the oracle: disable the cache with
+// PROOF_PREP_CACHE=0 (or set_enabled(false)) to build everything every time.
+// Reports are byte-identical either way (tests/test_cache_oracle.cpp).
 #pragma once
 
 #include <cstdint>
@@ -59,17 +54,11 @@ class PreparedEngine {
  public:
   PreparedEngine(backends::Engine engine_in, mapping::LayerMapping mapping_in);
 
-  /// Tag for the plan-cache instantiation path: the engine's analysis graph
-  /// was produced by instantiating a frozen AnalysisPlan and is already
-  /// validated + shape-inferred, so AR construction skips both.
-  struct PreInferredTag {};
+  /// Plan-cache instantiation path: adopts an AR the instantiation already
+  /// built over the engine's shared analysis graph instead of constructing
+  /// one here.
   PreparedEngine(backends::Engine engine_in, mapping::LayerMapping mapping_in,
-                 PreInferredTag tag);
-
-  /// As above, adopting an AR the instantiation already built (over the
-  /// engine's shared analysis graph) instead of constructing one here.
-  PreparedEngine(backends::Engine engine_in, mapping::LayerMapping mapping_in,
-                 AnalyzeRepresentation ar_in, PreInferredTag tag);
+                 AnalyzeRepresentation ar_in);
 
   PreparedEngine(const PreparedEngine&) = delete;
   PreparedEngine& operator=(const PreparedEngine&) = delete;
@@ -89,14 +78,10 @@ class PreparedEngine {
 struct PrepCacheStats {
   size_t engine_hits = 0;    ///< full (a)-(d) skipped
   size_t engine_misses = 0;
-  size_t plan_hits = 0;      ///< fusion planning + mapping search skipped
-  size_t plan_misses = 0;
   size_t evictions = 0;      ///< entries dropped by the FIFO memory backstop
 
-  // Shape-polymorphic AnalysisPlan level (structural-fingerprint keyed).
-  // When the plan cache is enabled its hits/misses also count into
-  // plan_hits/plan_misses above — a plan-cache hit skips the same fusion
-  // planning + mapping search the legacy exact-fingerprint level skipped.
+  // AnalysisPlan level (structural-fingerprint keyed); consulted on engine
+  // misses only.
   size_t plan_cache_hits = 0;        ///< frozen plan instantiated per cell
   size_t plan_cache_misses = 0;      ///< full structure phase built + frozen
   size_t plan_cache_evictions = 0;   ///< plans dropped by the FIFO backstop
@@ -108,34 +93,25 @@ struct PrepCacheStats {
     return total == 0 ? 0.0 : static_cast<double>(engine_hits) / static_cast<double>(total);
   }
   [[nodiscard]] double plan_hit_rate() const {
-    const size_t total = plan_hits + plan_misses;
-    return total == 0 ? 0.0 : static_cast<double>(plan_hits) / static_cast<double>(total);
+    const size_t total = plan_cache_hits + plan_cache_misses;
+    return total == 0 ? 0.0
+                      : static_cast<double>(plan_cache_hits) / static_cast<double>(total);
   }
 };
 
-/// How much of a graph a fingerprint keys on.
-enum class FingerprintMode : uint8_t {
+/// Both fingerprints of a model graph, computed in one traversal.  Weights
+/// do not enter profiling and are excluded from both.  Sweeps hoist this out
+/// of their inner loops and hand it to Profiler::run / the cache so per-cell
+/// lookups skip re-hashing the (shared, read-only) model graph.
+struct GraphKeys {
   /// Name, I/O, nodes (names, op types, attributes) and the full tensor
   /// table (dtype, every dim, param flag).  Keys engine-level entries.
-  kExact,
+  uint64_t exact = 0;
   /// Shape-erased: same structure (op types, attributes, connectivity, param
   /// shapes) but the graph name is dropped and non-param tensors contribute
   /// only their rank — batch and sequence/position dims are symbolized.
   /// Every batch size of a model, and every KV position of an LLM decode
   /// step, map to the same structural fingerprint.  Keys AnalysisPlans.
-  kStructural,
-};
-
-/// Structural fingerprint of a model graph.  Weights do not enter profiling
-/// and are excluded in both modes.
-[[nodiscard]] uint64_t graph_fingerprint(
-    const Graph& model, FingerprintMode mode = FingerprintMode::kExact);
-
-/// Both fingerprints of a model, computed in one traversal.  Sweeps hoist
-/// this out of their inner loops and hand it to Profiler::run / the cache so
-/// per-cell lookups skip re-hashing the (shared, read-only) model graph.
-struct GraphKeys {
-  uint64_t exact = 0;
   uint64_t structural = 0;
 };
 [[nodiscard]] GraphKeys compute_graph_keys(const Graph& model);
@@ -181,14 +157,6 @@ class PrepCache {
   /// entries immediately.
   [[nodiscard]] size_t capacity() const;
   void set_capacity(size_t capacity);
-
-  /// Shape-polymorphic AnalysisPlan level.  Runtime switch; initial value
-  /// comes from PROOF_PLAN_CACHE ("0"/"false"/"off" disables).  Disabling
-  /// falls back to the legacy exact-fingerprint plan level (the seed path)
-  /// without clearing existing entries; results are byte-identical either
-  /// way — this is the A/B mode bench_plan_cache exercises.
-  void set_plan_cache_enabled(bool enabled);
-  [[nodiscard]] bool plan_cache_enabled() const;
 
   /// Ready AnalysisPlans cached right now.
   [[nodiscard]] size_t plan_cache_size() const;

@@ -226,24 +226,17 @@ LayerMapping map_layers(const backends::Engine& engine,
 void apply_mapping(const backends::Engine& engine,
                    OptimizedAnalyzeRepresentation& oar,
                    const LayerMapping& mapping,
-                   const std::vector<std::vector<NodeId>>* member_ids) {
+                   const std::vector<std::vector<NodeId>>& member_ids) {
   PROOF_SPAN("mapping.apply");
-  const Graph& g = oar.base().graph();
   if (mapping.entries.size() != engine.layers().size()) {
     throw ModelError("apply_mapping: mapping has " +
                      std::to_string(mapping.entries.size()) + " entries but engine has " +
                      std::to_string(engine.layers().size()) + " layers");
   }
-  PROOF_CHECK(member_ids == nullptr || member_ids->size() == mapping.entries.size(),
+  PROOF_CHECK(member_ids.size() == mapping.entries.size(),
               "apply_mapping: member_ids/entry count mismatch");
   for (size_t i = 0; i < mapping.entries.size(); ++i) {
-    const LayerMapEntry& entry = mapping.entries[i];
     const backends::BackendLayer& layer = engine.layers()[i];
-    if (member_ids == nullptr && entry.backend_layer != layer.name) {
-      throw ModelError("apply_mapping: layer " + std::to_string(i) + " is '" +
-                       layer.name + "' but mapping expects '" +
-                       entry.backend_layer + "'");
-    }
     if (layer.is_reorder) {
       // Same alias registration map_layers performs for conversion layers.
       if (layer.input_tensors.size() == 1 && layer.output_tensors.size() == 1 &&
@@ -252,26 +245,10 @@ void apply_mapping(const backends::Engine& engine,
       }
       continue;
     }
-    if (entry.model_nodes.empty()) {
+    if (mapping.entries[i].model_nodes.empty()) {
       continue;  // was unmapped; stays unmapped
     }
-    if (member_ids != nullptr) {
-      // Ids pre-resolved from these entries at plan-build time against the
-      // same node numbering; the lookups below would reproduce them exactly.
-      oar.set_fused_op(layer.name, (*member_ids)[i]);
-      continue;
-    }
-    std::vector<NodeId> members;
-    members.reserve(entry.model_nodes.size());
-    for (const std::string& name : entry.model_nodes) {
-      const NodeId id = g.find_node(name);
-      if (id == kInvalidNode) {
-        throw ModelError("apply_mapping: model node '" + name +
-                         "' not present in this graph");
-      }
-      members.push_back(id);
-    }
-    oar.set_fused_op(layer.name, members);
+    oar.set_fused_op(layer.name, member_ids[i]);
   }
 }
 

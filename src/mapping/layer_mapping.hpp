@@ -57,26 +57,20 @@ struct LayerMapping {
 [[nodiscard]] LayerMapping map_layers(const backends::Engine& engine,
                                       OptimizedAnalyzeRepresentation& oar);
 
-/// Replays a previously computed mapping onto a fresh `oar`, applying the
-/// same alias registrations and `_FusedOp` groups without re-running the
-/// mapping search.  Valid whenever `engine` has the same layer structure the
-/// mapping was computed from — in particular any batch size of the same
-/// (model, backend, platform, dtype) build (the legacy prep-cache plan
-/// level), and any engine instantiated from a frozen AnalysisPlan, where the
-/// layer list is replayed from recipes and therefore structurally identical
-/// by construction (core/analysis_plan.hpp).  Throws ModelError when the
-/// layer lists do not line up.
+/// Replays a frozen AnalysisPlan's mapping onto the fresh `oar` of an engine
+/// instantiated from that plan (core/analysis_plan.hpp), applying the same
+/// alias registrations and `_FusedOp` groups without re-running the mapping
+/// search.  The instantiated layer list is replayed from the plan's recipes
+/// and therefore structurally identical by construction.  Throws ModelError
+/// when the layer counts do not line up.
 ///
-/// `member_ids` (optional) is a plan-derived shortcut: per-entry model node
-/// ids pre-resolved against a graph with identical node numbering (every
-/// clone_warm of the plan skeleton qualifies).  When given, the per-name
-/// find_node lookups and the name cross-checks are skipped — the ids were
-/// resolved from exactly these entries' names at plan-build time, so the
-/// applied fused-op groups are identical by construction.
+/// `member_ids` holds each entry's model node ids, resolved from the entry's
+/// names at plan-build time against the plan skeleton; every clone_warm of
+/// the skeleton keeps that node numbering, so no per-name lookup is needed.
 void apply_mapping(const backends::Engine& engine,
                    OptimizedAnalyzeRepresentation& oar,
                    const LayerMapping& mapping,
-                   const std::vector<std::vector<NodeId>>* member_ids = nullptr);
+                   const std::vector<std::vector<NodeId>>& member_ids);
 
 /// Test/diagnostic helper: compares a mapping against the engine's ground
 /// truth.  Returns the number of layers whose node set differs.

@@ -18,7 +18,7 @@
 // Position-parameterized fingerprint contract: build_llm_decode_step(P) must
 // keep the decode position OUT of everything the shape-erased structural
 // fingerprint hashes — P appears only in the graph name
-// ("<id>_decode_p<P>", dropped by FingerprintMode::kStructural) and in the
+// ("<id>_decode_p<P>", dropped by GraphKeys::structural) and in the
 // past_k_/past_v_ *input* tensor dims (rank-erased for non-params).  Node
 // names, op types, attrs (reshape targets use t=1, never P) and param shapes
 // are position-independent, so every position of a decode sweep maps to one

@@ -277,19 +277,13 @@ std::string Server::stats_json() const {
       << ",\"engine_hits\":" << c.engine_hits
       << ",\"engine_misses\":" << c.engine_misses
       << ",\"engine_hit_rate\":" << c.engine_hit_rate()
-      << ",\"plan_lookups\":" << (c.plan_hits + c.plan_misses)
-      << ",\"plan_hits\":" << c.plan_hits
-      << ",\"plan_misses\":" << c.plan_misses
-      << ",\"plan_hit_rate\":" << c.plan_hit_rate()
       << ",\"evictions\":" << c.evictions << "}";
 
   // Shape-polymorphic AnalysisPlan level (structural-fingerprint keyed);
   // entries are shared by every batch size / decode position of a model, so
   // hits here are whole prepare pipelines replaced by cheap instantiations.
   out << ",\"plan_cache\":{"
-      << "\"enabled\":"
-      << (PrepCache::instance().plan_cache_enabled() ? "true" : "false")
-      << ",\"entries\":" << PrepCache::instance().plan_cache_size()
+      << "\"entries\":" << PrepCache::instance().plan_cache_size()
       << ",\"capacity\":" << PrepCache::instance().plan_cache_capacity()
       << ",\"hits\":" << c.plan_cache_hits
       << ",\"misses\":" << c.plan_cache_misses

@@ -10,7 +10,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -133,16 +132,6 @@ bool update_goldens() {
          std::strcmp(env, "") != 0;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    return {};
-  }
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
 /// The frozen configuration: gpt2 on a100/trt_sim, fp16, a 2x2 grid.  The
 /// sweep is forced to predicted mode internally, so the JSON carries no
 /// wall-clock fields and needs no normalization.
@@ -164,7 +153,7 @@ TEST(DecodeSweepGolden, MatchesFrozenJson) {
     GTEST_SKIP() << "golden regenerated: " << path;
   }
 
-  const std::string expected = read_file(path);
+  const std::string expected = testing::read_file(path);
   ASSERT_FALSE(expected.empty())
       << "missing golden " << path
       << " — regenerate with PROOF_UPDATE_GOLDENS=1";

@@ -11,13 +11,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/profiler.hpp"
 #include "core/report_json.hpp"
 #include "opt/optimizer.hpp"
+#include "test_util.hpp"
 
 #ifndef PROOF_TEST_SOURCE_DIR
 #error "tests/CMakeLists.txt must define PROOF_TEST_SOURCE_DIR"
@@ -36,26 +36,6 @@ bool update_goldens() {
          std::strcmp(env, "") != 0;
 }
 
-/// Zeroes the wall-clock fields (the only non-deterministic values in a
-/// predicted-mode report) so goldens are byte-reproducible across machines.
-std::string normalize(std::string json) {
-  for (const char* key :
-       {"\"analysis_time_s\":", "\"counter_profiling_time_s\":"}) {
-    const size_t key_len = std::strlen(key);
-    size_t pos = json.find(key);
-    while (pos != std::string::npos) {
-      const size_t start = pos + key_len;
-      const size_t end = json.find_first_of(",}", start);
-      if (end == std::string::npos) {
-        break;  // truncated JSON; the byte comparison will fail loudly
-      }
-      json.replace(start, end - start, "0");
-      pos = json.find(key, start);
-    }
-  }
-  return json;
-}
-
 std::string generate(const std::string& model_id) {
   ProfileOptions opt;
   opt.platform_id = "a100";
@@ -65,41 +45,7 @@ std::string generate(const std::string& model_id) {
   opt.mode = MetricMode::kPredicted;
   const ProfileReport report = Profiler(opt).run_zoo(model_id);
   // include_self_profile stays off: self-profile values are wall-clock.
-  return normalize(report_to_json(report));
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    return {};
-  }
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-/// Locates the first differing line for a readable failure message.
-std::string first_diff(const std::string& got, const std::string& want) {
-  std::istringstream got_in(got);
-  std::istringstream want_in(want);
-  std::string got_line;
-  std::string want_line;
-  size_t line = 0;
-  while (true) {
-    ++line;
-    const bool got_ok = static_cast<bool>(std::getline(got_in, got_line));
-    const bool want_ok = static_cast<bool>(std::getline(want_in, want_line));
-    if (!got_ok && !want_ok) {
-      return "(no textual diff found)";
-    }
-    if (got_ok != want_ok || got_line != want_line) {
-      std::ostringstream msg;
-      msg << "first diff at line " << line << ":\n  golden: "
-          << (want_ok ? want_line : "<eof>")
-          << "\n  actual: " << (got_ok ? got_line : "<eof>");
-      return msg.str();
-    }
-  }
+  return testing::normalize_wall_clock(report_to_json(report));
 }
 
 class GoldenReports : public ::testing::TestWithParam<const char*> {};
@@ -117,13 +63,13 @@ TEST_P(GoldenReports, MatchesFrozenJson) {
     GTEST_SKIP() << "golden regenerated: " << path;
   }
 
-  const std::string expected = read_file(path);
+  const std::string expected = testing::read_file(path);
   ASSERT_FALSE(expected.empty())
       << "missing golden " << path
       << " — regenerate with PROOF_UPDATE_GOLDENS=1";
   EXPECT_EQ(actual, expected)
       << "report JSON drifted from " << path << "\n"
-      << first_diff(actual, expected)
+      << testing::first_difference(actual, expected)
       << "\nIf the change is intentional, regenerate with "
          "PROOF_UPDATE_GOLDENS=1 and review the diff.";
 }
@@ -155,8 +101,8 @@ std::string generate_optimize() {
   options.base.batch = 256;
   options.base.mode = MetricMode::kPredicted;
   const opt::OptimizeResult result = opt::optimize("shufflenetv2_10", options);
-  return normalize(report_to_json(result.final_report, false,
-                                  opt::optimization_section_json(result.log)));
+  return testing::normalize_wall_clock(report_to_json(
+      result.final_report, false, opt::optimization_section_json(result.log)));
 }
 
 TEST(GoldenReportsOptimize, MatchesFrozenJson) {
@@ -171,13 +117,13 @@ TEST(GoldenReportsOptimize, MatchesFrozenJson) {
     GTEST_SKIP() << "golden regenerated: " << path;
   }
 
-  const std::string expected = read_file(path);
+  const std::string expected = testing::read_file(path);
   ASSERT_FALSE(expected.empty())
       << "missing golden " << path
       << " — regenerate with PROOF_UPDATE_GOLDENS=1";
   EXPECT_EQ(actual, expected)
       << "optimization report drifted from " << path << "\n"
-      << first_diff(actual, expected)
+      << testing::first_difference(actual, expected)
       << "\nIf the change is intentional, regenerate with "
          "PROOF_UPDATE_GOLDENS=1 and review the diff.";
 }

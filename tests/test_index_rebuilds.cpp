@@ -72,7 +72,6 @@ TEST_P(IndexRebuilds, ZeroAcrossPrepareAndInstantiate) {
   ASSERT_NE(prepare_engine(model, backend, platform, first), nullptr);
   PrepCache& cache = PrepCache::instance();
   cache.set_enabled(true);
-  cache.set_plan_cache_enabled(true);
   cache.clear();
   cache.reset_stats();
   ASSERT_NE(cache.get_or_prepare(model, backend, platform, first), nullptr);

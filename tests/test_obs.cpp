@@ -1,8 +1,11 @@
 // Unit tests: the observability layer (obs/) — sharded counters under the
 // thread pool, histogram bucketing/quantiles, RAII spans, the runtime
-// disable switch, and the self-profile JSON export.
+// disable switch, the self-profile JSON export, and docs/METRICS.md coverage
+// of every metric name emitted from src/.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <filesystem>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -10,6 +13,7 @@
 #include "obs/span.hpp"
 #include "support/error.hpp"
 #include "support/thread_pool.hpp"
+#include "test_util.hpp"
 
 namespace proof::obs {
 namespace {
@@ -176,6 +180,36 @@ TEST(Obs, TraceBufferRespectsCap) {
   clear_trace();
   EXPECT_TRUE(trace_events().empty());
   EXPECT_EQ(trace_dropped(), 0u);
+}
+
+// Every metric name a PROOF_SPAN / PROOF_COUNT / PROOF_GAUGE_SET site under
+// src/ passes as a string literal needs a row in docs/METRICS.md.
+TEST(MetricsDoc, ListsEveryEmittedMetric) {
+  const std::filesystem::path root =
+      std::filesystem::path(PROOF_TEST_SOURCE_DIR).parent_path();
+  const std::string doc = testing::read_file(root / "docs" / "METRICS.md");
+  ASSERT_FALSE(doc.empty()) << "cannot read docs/METRICS.md under " << root;
+
+  size_t sites = 0;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(root / "src")) {
+    const std::string ext = entry.path().extension().string();
+    if (!entry.is_regular_file() || (ext != ".cpp" && ext != ".hpp")) {
+      continue;
+    }
+    const std::string text = testing::read_file(entry.path());
+    for (const char* macro : {"PROOF_SPAN(\"", "PROOF_COUNT(\"", "PROOF_GAUGE_SET(\""}) {
+      for (size_t pos = text.find(macro); pos != std::string::npos;
+           pos = text.find(macro, pos + 1)) {
+        const size_t begin = pos + std::strlen(macro);
+        const std::string name = text.substr(begin, text.find('"', begin) - begin);
+        ++sites;
+        EXPECT_NE(doc.find("| `" + name + "` |"), std::string::npos)
+            << name << " (" << entry.path().filename().string()
+            << ") has no row in docs/METRICS.md";
+      }
+    }
+  }
+  EXPECT_GT(sites, 0u) << "no metric sites found under " << root / "src";
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "opt/optimizer.hpp"
 #include "support/json.hpp"
 #include "support/thread_pool.hpp"
+#include "test_util.hpp"
 
 namespace proof::opt {
 namespace {
@@ -272,26 +273,6 @@ auto with_jobs(unsigned jobs, F&& fn) {
   return result;
 }
 
-/// Zeroes the report's wall-clock fields (the same ones the golden suite
-/// normalizes) — everything else must be byte-stable.
-std::string normalize_wall_clock(std::string json) {
-  for (const std::string key :
-       {std::string("\"analysis_time_s\":"),
-        std::string("\"counter_profiling_time_s\":")}) {
-    size_t pos = 0;
-    while ((pos = json.find(key, pos)) != std::string::npos) {
-      const size_t begin = pos + key.size();
-      size_t end = begin;
-      while (end < json.size() && json[end] != ',' && json[end] != '}') {
-        ++end;
-      }
-      json.replace(begin, end - begin, "0");
-      pos = begin;
-    }
-  }
-  return json;
-}
-
 TEST(OptDeterminism, OptimizationReportIsByteIdenticalAcrossJobCounts) {
   const auto run = [] {
     OptimizeOptions options;
@@ -299,7 +280,7 @@ TEST(OptDeterminism, OptimizationReportIsByteIdenticalAcrossJobCounts) {
     options.axes = axes_from_string("precision,batch,backend");
     options.max_rounds = 2;
     const OptimizeResult result = optimize("shufflenetv2_05", options);
-    return normalize_wall_clock(report_to_json(
+    return testing::normalize_wall_clock(report_to_json(
         result.final_report, false, optimization_section_json(result.log)));
   };
   const std::string serial = with_jobs(1, run);

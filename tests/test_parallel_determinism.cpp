@@ -1,7 +1,7 @@
 // Determinism and memoization guarantees of the parallel profiling engine:
 //  * sweeps produce byte-identical output at any --jobs setting;
 //  * the preparation cache changes cost, never results;
-//  * plan-level memoization shares fusion plans + mappings across batches.
+//  * the plan cache shares one frozen AnalysisPlan across batches.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -13,6 +13,7 @@
 #include "models/zoo.hpp"
 #include "support/error.hpp"
 #include "support/thread_pool.hpp"
+#include "test_util.hpp"
 
 namespace proof {
 namespace {
@@ -97,19 +98,10 @@ TEST(ParallelDeterminism, CacheOnAndOffProduceIdenticalReports) {
   const ProfileReport warm = Profiler(opt).run(model);
   EXPECT_EQ(report_to_json(cold), report_to_json(warm));
 
-  // Against the uncached path only the measured wall-time field may differ;
-  // strip it and require byte identity for everything else.
-  const auto strip_timing = [](std::string text) {
-    const std::string key = "\"analysis_time_s\"";
-    const size_t pos = text.find(key);
-    if (pos != std::string::npos) {
-      size_t end = text.find('\n', pos);
-      end = end == std::string::npos ? text.size() : end;
-      text.erase(pos, end - pos);
-    }
-    return text;
-  };
-  EXPECT_EQ(strip_timing(uncached), strip_timing(report_to_json(cold)));
+  // Against the uncached path only the measured wall-time fields may differ;
+  // zero them and require byte identity for everything else.
+  EXPECT_EQ(testing::normalize_wall_clock(uncached),
+            testing::normalize_wall_clock(report_to_json(cold)));
   PrepCache::instance().clear();
 }
 
@@ -131,8 +123,8 @@ TEST(PrepCache, EngineHitsOnRepeatAndPlanSharingAcrossBatches) {
   const PrepCacheStats stats = PrepCache::instance().stats();
   EXPECT_EQ(stats.engine_misses, 2u);
   EXPECT_EQ(stats.engine_hits, 2u);
-  EXPECT_EQ(stats.plan_misses, 1u);
-  EXPECT_EQ(stats.plan_hits, 1u);
+  EXPECT_EQ(stats.plan_cache_misses, 1u);
+  EXPECT_EQ(stats.plan_cache_hits, 1u);
   EXPECT_GT(stats.engine_hit_rate(), 0.0);
   EXPECT_GT(stats.plan_hit_rate(), 0.0);
   EXPECT_GE(PrepCache::instance().size(), 2u);
@@ -142,8 +134,9 @@ TEST(PrepCache, EngineHitsOnRepeatAndPlanSharingAcrossBatches) {
 TEST(PrepCache, FingerprintSeparatesModelsAndTracksStructure) {
   const Graph a = models::build_model("resnet50");
   const Graph b = models::build_model("mobilenetv2_05");
-  EXPECT_NE(graph_fingerprint(a), graph_fingerprint(b));
-  EXPECT_EQ(graph_fingerprint(a), graph_fingerprint(models::build_model("resnet50")));
+  EXPECT_NE(compute_graph_keys(a).exact, compute_graph_keys(b).exact);
+  EXPECT_EQ(compute_graph_keys(a).exact,
+            compute_graph_keys(models::build_model("resnet50")).exact);
 }
 
 TEST(BatchSweep, RejectsEmptyValidatedCandidates) {

@@ -1,15 +1,12 @@
 // Shape-polymorphic AnalysisPlan cache (core/analysis_plan.hpp): structural
-// fingerprint properties, byte-identity of every golden with the cache on vs
-// PROOF_PLAN_CACHE=0, mutation-fuzz proof that structural rewrites invalidate
-// the plan (no stale reuse), stats/capacity behaviour, and a concurrency
-// suite (PlanCache.*) run under TSan via scripts/check_tsan.sh.
+// fingerprint properties, byte-identity of every golden between the cache and
+// the uncached prepare_engine oracle, mutation-fuzz proof that structural
+// rewrites invalidate the plan (no stale reuse), stats/capacity behaviour,
+// and a concurrency suite (PlanCache.*) run under TSan via
+// scripts/check_tsan.sh.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -34,19 +31,15 @@
 namespace proof {
 namespace {
 
-uint64_t structural_fp(const Graph& g) {
-  return graph_fingerprint(g, FingerprintMode::kStructural);
-}
+uint64_t structural_fp(const Graph& g) { return compute_graph_keys(g).structural; }
 
-uint64_t exact_fp(const Graph& g) {
-  return graph_fingerprint(g, FingerprintMode::kExact);
-}
+uint64_t exact_fp(const Graph& g) { return compute_graph_keys(g).exact; }
 
-/// Fresh cache + stats with both levels enabled; every gtest case runs in its
-/// own ctest process (gtest_discover_tests), so nothing needs restoring.
-void reset_cache(bool plan_cache_on = true) {
-  PrepCache::instance().set_enabled(true);
-  PrepCache::instance().set_plan_cache_enabled(plan_cache_on);
+/// Fresh cache + stats; `cache_on = false` selects the uncached
+/// prepare_engine oracle.  Every gtest case runs in its own ctest process
+/// (gtest_discover_tests), so nothing needs restoring.
+void reset_cache(bool cache_on = true) {
+  PrepCache::instance().set_enabled(cache_on);
   PrepCache::instance().clear();
   PrepCache::instance().reset_stats();
 }
@@ -135,48 +128,10 @@ TEST(StructuralFingerprint, SensitiveToOpTypesAttrsAndParamShapes) {
   }
 }
 
-TEST(StructuralFingerprint, ComputeGraphKeysMatchesSinglePassHashes) {
-  for (const Graph& g :
-       {proof::testing::small_cnn(), proof::testing::small_transformer()}) {
-    const GraphKeys keys = compute_graph_keys(g);
-    EXPECT_EQ(keys.exact, exact_fp(g));
-    EXPECT_EQ(keys.structural, structural_fp(g));
-  }
-}
-
-// --- golden byte-identity: plan cache on vs PROOF_PLAN_CACHE=0 ---------------
+// --- golden byte-identity: cache vs the uncached oracle ----------------------
 
 std::string golden_path(const std::string& id) {
   return std::string(PROOF_TEST_SOURCE_DIR) + "/golden/" + id + ".json";
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    return {};
-  }
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-/// Zeroes the wall-clock fields, mirroring test_golden_reports.cpp.
-std::string normalize(std::string json) {
-  for (const char* key :
-       {"\"analysis_time_s\":", "\"counter_profiling_time_s\":"}) {
-    const size_t key_len = std::strlen(key);
-    size_t pos = json.find(key);
-    while (pos != std::string::npos) {
-      const size_t start = pos + key_len;
-      const size_t end = json.find_first_of(",}", start);
-      if (end == std::string::npos) {
-        break;
-      }
-      json.replace(start, end - start, "0");
-      pos = json.find(key, start);
-    }
-  }
-  return json;
 }
 
 std::string generate_report(const std::string& model_id) {
@@ -186,7 +141,8 @@ std::string generate_report(const std::string& model_id) {
   opt.dtype = DType::kF16;
   opt.batch = model_id == "sd_unet" ? 2 : 4;
   opt.mode = MetricMode::kPredicted;
-  return normalize(report_to_json(Profiler(opt).run_zoo(model_id)));
+  return testing::normalize_wall_clock(
+      report_to_json(Profiler(opt).run_zoo(model_id)));
 }
 
 std::string generate_optimize() {
@@ -197,8 +153,8 @@ std::string generate_optimize() {
   options.base.batch = 256;
   options.base.mode = MetricMode::kPredicted;
   const opt::OptimizeResult result = opt::optimize("shufflenetv2_10", options);
-  return normalize(report_to_json(result.final_report, false,
-                                  opt::optimization_section_json(result.log)));
+  return testing::normalize_wall_clock(report_to_json(
+      result.final_report, false, opt::optimization_section_json(result.log)));
 }
 
 std::string generate_decode_sweep() {
@@ -212,20 +168,20 @@ std::string generate_decode_sweep() {
   return decode_sweep_json(sweep_decode(opt));
 }
 
-/// Runs `generate` with the plan cache on, then off (fresh cache both times),
+/// Runs `generate` through a fresh cache, then through the uncached oracle,
 /// and demands byte-identical output.  When `golden_id` is non-empty the
-/// on-path output must also match the frozen golden on disk — the cache may
+/// cached output must also match the frozen golden on disk — the cache may
 /// not even perturb the historical bytes.
 void expect_on_off_identical(const std::string& golden_id,
                              std::string (*generate)()) {
-  reset_cache(/*plan_cache_on=*/true);
+  reset_cache(/*cache_on=*/true);
   const std::string with_cache = generate();
   ASSERT_FALSE(with_cache.empty());
   const PrepCacheStats stats = PrepCache::instance().stats();
   EXPECT_GE(stats.plan_cache_misses, 1u)
-      << "plan cache enabled but never consulted — the A/B proves nothing";
+      << "plan cache never consulted — the comparison proves nothing";
 
-  reset_cache(/*plan_cache_on=*/false);
+  reset_cache(/*cache_on=*/false);
   const std::string without_cache = generate();
   EXPECT_EQ(PrepCache::instance().plan_cache_size(), 0u);
   EXPECT_EQ(PrepCache::instance().stats().plan_cache_misses, 0u);
@@ -234,12 +190,12 @@ void expect_on_off_identical(const std::string& golden_id,
       << "plan-cache instantiation diverged from the full prepare pipeline";
 
   if (!golden_id.empty()) {
-    const std::string frozen = read_file(golden_path(golden_id));
+    const std::string frozen = testing::read_file(golden_path(golden_id));
     ASSERT_FALSE(frozen.empty()) << "missing golden " << golden_path(golden_id);
     EXPECT_EQ(with_cache, frozen)
         << "plan-cache output drifted from frozen golden " << golden_id;
   }
-  PrepCache::instance().set_plan_cache_enabled(true);
+  PrepCache::instance().set_enabled(true);
 }
 
 class PlanCacheGolden : public ::testing::TestWithParam<const char*> {};
@@ -252,10 +208,10 @@ TEST_P(PlanCacheGolden, ReportByteIdenticalOnVsOff) {
   reset_cache(false);
   const std::string off = generate_report(model_id);
   EXPECT_EQ(on, off);
-  const std::string frozen = read_file(golden_path(model_id));
+  const std::string frozen = testing::read_file(golden_path(model_id));
   ASSERT_FALSE(frozen.empty()) << "missing golden " << golden_path(model_id);
   EXPECT_EQ(on, frozen);
-  PrepCache::instance().set_plan_cache_enabled(true);
+  PrepCache::instance().set_enabled(true);
 }
 
 INSTANTIATE_TEST_SUITE_P(FourZooModels, PlanCacheGolden,
@@ -282,12 +238,12 @@ std::string profile_normalized(const Graph& model) {
   opt.dtype = DType::kF16;
   opt.batch = 2;
   opt.mode = MetricMode::kPredicted;
-  return normalize(report_to_json(Profiler(opt).run(model)));
+  return testing::normalize_wall_clock(report_to_json(Profiler(opt).run(model)));
 }
 
 /// Seeds the plan cache with `base`, then profiles `mutated` and checks
 /// (a) the mutated graph MISSES (no stale-plan reuse: misses go up, hits do
-/// not) and (b) its report is byte-identical to a cache-off run.
+/// not) and (b) its report is byte-identical to the uncached oracle's.
 void expect_invalidates(const Graph& base, const Graph& mutated) {
   ASSERT_NE(structural_fp(base), structural_fp(mutated))
       << base.name() << " vs " << mutated.name()
@@ -308,7 +264,7 @@ void expect_invalidates(const Graph& base, const Graph& mutated) {
   reset_cache(false);
   const std::string without_cache = profile_normalized(mutated);
   EXPECT_EQ(with_cache, without_cache);
-  PrepCache::instance().set_plan_cache_enabled(true);
+  PrepCache::instance().set_enabled(true);
 }
 
 TEST(PlanCacheMutationFuzz, QuantizePassInvalidates) {
@@ -357,7 +313,7 @@ TEST(PlanCacheMutationFuzz, FusionToggleRewritesInvalidate) {
 
 TEST(PlanCacheMutationFuzz, BatchChangeHitsAndStaysByteIdentical) {
   // Positive control: the shape-only change the cache exists for must HIT and
-  // still reproduce the cache-off bytes.
+  // still reproduce the oracle's bytes.
   const Graph model = proof::testing::small_cnn();
   const auto profile_at = [&](int64_t batch) {
     ProfileOptions opt;
@@ -366,7 +322,7 @@ TEST(PlanCacheMutationFuzz, BatchChangeHitsAndStaysByteIdentical) {
     opt.dtype = DType::kF16;
     opt.batch = batch;
     opt.mode = MetricMode::kPredicted;
-    return normalize(report_to_json(Profiler(opt).run(model)));
+    return testing::normalize_wall_clock(report_to_json(Profiler(opt).run(model)));
   };
 
   reset_cache(true);
@@ -378,9 +334,8 @@ TEST(PlanCacheMutationFuzz, BatchChangeHitsAndStaysByteIdentical) {
   EXPECT_EQ(stats.plan_cache_collisions, 0u);
 
   reset_cache(false);
-  (void)profile_at(2);
   EXPECT_EQ(hit_json, profile_at(4));
-  PrepCache::instance().set_plan_cache_enabled(true);
+  PrepCache::instance().set_enabled(true);
 }
 
 // --- concurrency + stats suite (TSan: scripts/check_tsan.sh) -----------------
@@ -427,31 +382,6 @@ TEST(PlanCache, ConcurrentMixedBatchesShareOnePlan) {
   EXPECT_EQ(stats.plan_cache_hits, batches.size() - 1);
   EXPECT_EQ(stats.plan_cache_collisions, 0u);
   EXPECT_EQ(PrepCache::instance().plan_cache_size(), 1u);
-  // Plan-cache traffic also counts into the legacy plan ledger (the hit
-  // skips the same fusion planning + mapping search).
-  EXPECT_EQ(stats.plan_hits, stats.plan_cache_hits);
-  EXPECT_EQ(stats.plan_misses, stats.plan_cache_misses);
-}
-
-TEST(PlanCache, DisabledFallsBackToLegacyPlanLevel) {
-  reset_cache(false);
-  const Graph model = proof::testing::small_cnn();
-  const backends::Backend& backend =
-      backends::BackendRegistry::instance().get("trt_sim");
-  const hw::PlatformDesc& platform =
-      hw::PlatformRegistry::instance().get("a100");
-  for (int64_t batch = 1; batch <= 3; ++batch) {
-    (void)PrepCache::instance().get_or_prepare(model, backend, platform,
-                                               config_for_batch(batch));
-  }
-  const PrepCacheStats stats = PrepCache::instance().stats();
-  EXPECT_EQ(stats.plan_cache_hits, 0u);
-  EXPECT_EQ(stats.plan_cache_misses, 0u);
-  EXPECT_EQ(PrepCache::instance().plan_cache_size(), 0u);
-  // The legacy exact-fingerprint plan level still dedupes batches.
-  EXPECT_EQ(stats.plan_misses, 1u);
-  EXPECT_EQ(stats.plan_hits, 2u);
-  PrepCache::instance().set_plan_cache_enabled(true);
 }
 
 TEST(PlanCache, CapacityBoundsPlansAndShrinksEagerly) {

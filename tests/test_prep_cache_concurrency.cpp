@@ -93,7 +93,7 @@ TEST(PrepCache, ConcurrentDistinctKeysBuildOncePerKey) {
   EXPECT_EQ(stats.engine_misses, batches.size());
   EXPECT_EQ(stats.engine_hits, total - batches.size());
   // Plan-level sharing: one plan miss for the first batch, hits afterwards.
-  EXPECT_EQ(stats.plan_misses, 1u);
+  EXPECT_EQ(stats.plan_cache_misses, 1u);
   EXPECT_EQ(PrepCache::instance().size(), batches.size());
 }
 

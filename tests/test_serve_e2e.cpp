@@ -9,8 +9,6 @@
 #include <unistd.h>
 
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <chrono>
@@ -21,6 +19,7 @@
 #include "serve/server.hpp"
 #include "support/json.hpp"
 #include "support/socket.hpp"
+#include "test_util.hpp"
 
 #ifndef PROOF_TEST_SOURCE_DIR
 #error "tests/CMakeLists.txt must define PROOF_TEST_SOURCE_DIR"
@@ -76,39 +75,13 @@ std::string analyze_request(const std::string& model_id, int64_t batch) {
   return out.str();
 }
 
-/// Same normalization the golden harness applies: zero the wall-clock fields.
-std::string normalize(std::string json) {
-  for (const char* key :
-       {"\"analysis_time_s\":", "\"counter_profiling_time_s\":"}) {
-    const size_t key_len = std::strlen(key);
-    size_t pos = json.find(key);
-    while (pos != std::string::npos) {
-      const size_t start = pos + key_len;
-      const size_t end = json.find_first_of(",}", start);
-      if (end == std::string::npos) {
-        break;
-      }
-      json.replace(start, end - start, "0");
-      pos = json.find(key, start);
-    }
-  }
-  return json;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
 // --- byte identity against the frozen goldens --------------------------------
 
 class ServeGolden : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ServeGolden, AnalyzeIsByteIdenticalToSingleShotCli) {
   const std::string model_id = GetParam();
-  const std::string golden = read_file(std::string(PROOF_TEST_SOURCE_DIR) +
+  const std::string golden = testing::read_file(std::string(PROOF_TEST_SOURCE_DIR) +
                                        "/golden/" + model_id + ".json");
   ASSERT_FALSE(golden.empty()) << "missing golden for " << model_id;
 
@@ -122,7 +95,7 @@ TEST_P(ServeGolden, AnalyzeIsByteIdenticalToSingleShotCli) {
   // The report travelled request -> profiler -> JSON -> frame -> raw splice;
   // after zeroing wall-clock fields it must equal the frozen golden byte for
   // byte — the daemon introduces no serialization drift.
-  EXPECT_EQ(normalize(response.payload), golden);
+  EXPECT_EQ(testing::normalize_wall_clock(response.payload), golden);
   server.stop();
 }
 

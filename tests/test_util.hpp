@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "graph/graph.hpp"
 #include "models/builder.hpp"
 
@@ -38,6 +44,46 @@ inline Graph small_transformer() {
     x = b.add(x, h);
   }
   return b.finish({x});
+}
+
+/// Whole file contents; empty when the file cannot be read.
+inline std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+/// Zeroes a report JSON's wall-clock fields (`analysis_time_s`,
+/// `counter_profiling_time_s`) — the only non-deterministic values in a
+/// predicted-mode report — so reports compare byte for byte across runs,
+/// cache states and machines.
+inline std::string normalize_wall_clock(std::string json) {
+  for (const char* key :
+       {"\"analysis_time_s\":", "\"counter_profiling_time_s\":"}) {
+    const size_t key_len = std::strlen(key);
+    size_t pos = json.find(key);
+    while (pos != std::string::npos) {
+      const size_t start = pos + key_len;
+      const size_t end = json.find_first_of(",}", start);
+      if (end == std::string::npos) {
+        break;  // truncated JSON; the byte comparison will fail loudly
+      }
+      json.replace(start, end - start, "0");
+      pos = json.find(key, start);
+    }
+  }
+  return json;
+}
+
+/// Context around the first byte where `got` and `want` differ — a readable
+/// failure message for long single-line JSON.
+inline std::string first_difference(const std::string& got, const std::string& want) {
+  const size_t i = static_cast<size_t>(
+      std::mismatch(got.begin(), got.end(), want.begin(), want.end()).first - got.begin());
+  const size_t from = i < 60 ? 0 : i - 60;
+  return "first difference at byte " + std::to_string(i) + ":\n  got:  " +
+         got.substr(from, 120) + "\n  want: " + want.substr(from, 120);
 }
 
 /// Relative difference |a-b| / max(|b|, eps).
