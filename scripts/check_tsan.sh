@@ -11,7 +11,9 @@
 # pool against a shared incumbent graph, plus its jobs-1-vs-4 byte-identity
 # suite), and the LLM decode sweep (batch x position grid fanned out over
 # the pool with index-written points, plus its own jobs-1-vs-4 byte-identity
-# test), and the shape-polymorphic AnalysisPlan cache (mixed batch sizes
+# test; every platform's plan builds run concurrently in its first pass, and
+# the gpt2/llama7b decode oracle checks those grids against the uncached
+# path), and the shape-polymorphic AnalysisPlan cache (mixed batch sizes
 # instantiating one shared frozen plan concurrently, and eviction under a
 # capacity bound).  Any data race in the
 # pool, the cache's shared PreparedEngine entries, the graphs' lazy index
@@ -23,7 +25,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=build-tsan
-FILTER="${1:-ThreadPool.*:ParallelDeterminism.*:PrepCache.*:BatchSweep.*:SweepText.*:Obs.*:ServeJson.*:ServeFraming.*:ServeEnvelope.*:ServeDeadline.*:ServeE2e.*:*ServeGolden*:CriticalPathConcurrency.*:CriticalPath.ReconstructsProgramOrderAndSyncEdges:OptGuard.*:OptDeterminism.*:DecodeSweep.*:PlanCache.*}"
+FILTER="${1:-ThreadPool.*:ParallelDeterminism.*:PrepCache.*:BatchSweep.*:SweepText.*:Obs.*:ServeJson.*:ServeFraming.*:ServeEnvelope.*:ServeDeadline.*:ServeE2e.*:*ServeGolden*:CriticalPathConcurrency.*:CriticalPath.ReconstructsProgramOrderAndSyncEdges:OptGuard.*:OptDeterminism.*:DecodeSweep.*:CacheOracleDecode.*:PlanCache.*}"
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -1,7 +1,9 @@
 #include "core/decode_sweep.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <sstream>
+#include <utility>
 
 #include "core/json_writer.hpp"
 #include "core/prep_cache.hpp"
@@ -41,107 +43,13 @@ ProfileOptions profile_options(const DecodeSweepOptions& options, int64_t batch)
   return opt;
 }
 
-}  // namespace
-
-DecodeSweep sweep_decode(const DecodeSweepOptions& options) {
-  if (options.platform_id.empty()) {
-    throw ConfigError("sweep_decode: platform_id is required");
-  }
-  DecodeSweep sweep;
-  sweep.options = options;
-  sweep.options.batches = clean_axis(options.batches, "batch sizes");
-  sweep.options.positions = clean_axis(options.positions, "decode positions");
-  PROOF_CHECK(options.prefill_len >= 1,
-              "prefill length must be >= 1, got " << options.prefill_len);
-  const models::LlmConfig& cfg = models::llm_config(options.config_id);
-  sweep.model_display = cfg.display;
-
-  const std::vector<int64_t>& batches = sweep.options.batches;
-  const std::vector<int64_t>& positions = sweep.options.positions;
-
-  PROOF_SPAN("sweep.decode");
-  PROOF_COUNT("sweep.points",
-              batches.size() * positions.size() + batches.size());
-
-  // One graph per decode position plus the prefill graph; each is shared
-  // read-only across the batch fan-out (batch is applied during backend
-  // prepare, which copies), so warm the lazy indices and hash the cache
-  // fingerprints up front — each graph is profiled at every batch size.
-  // All decode positions map to one structural fingerprint (position only
-  // appears in KV-cache input dims, which the structural mode rank-erases),
-  // so the whole grid shares a single AnalysisPlan.
-  const Graph prefill_graph =
-      models::build_llm_prefill(cfg, options.prefill_len);
-  sweep_axis::warm_shared_graph(prefill_graph);
-  const GraphKeys prefill_keys = compute_graph_keys(prefill_graph);
-  std::vector<Graph> decode_graphs;
-  std::vector<GraphKeys> decode_keys;
-  decode_graphs.reserve(positions.size());
-  decode_keys.reserve(positions.size());
-  for (const int64_t position : positions) {
-    decode_graphs.push_back(models::build_llm_decode_step(cfg, position));
-    sweep_axis::warm_shared_graph(decode_graphs.back());
-    decode_keys.push_back(compute_graph_keys(decode_graphs.back()));
-  }
-
-  sweep.prefill = ThreadPool::global().parallel_map(
-      batches.size(), [&](size_t i) {
-        const ProfileReport r = Profiler(profile_options(options, batches[i]))
-                                    .run(prefill_graph, &prefill_keys);
-        PrefillPoint point;
-        point.batch = batches[i];
-        point.latency_s = r.total_latency_s;
-        point.tokens_per_s =
-            r.total_latency_s > 0.0
-                ? static_cast<double>(batches[i] * options.prefill_len) /
-                      r.total_latency_s
-                : 0.0;
-        point.bandwidth_bound_fraction =
-            roofline::time_analysis(r.roofline).bandwidth_bound_latency_fraction();
-        return point;
-      });
-
-  sweep.points = ThreadPool::global().parallel_map(
-      batches.size() * positions.size(), [&](size_t i) {
-        const int64_t batch = batches[i / positions.size()];
-        const size_t pos_idx = i % positions.size();
-        const ProfileReport r = Profiler(profile_options(options, batch))
-                                    .run(decode_graphs[pos_idx],
-                                         &decode_keys[pos_idx]);
-        const roofline::TimeAnalysis time = roofline::time_analysis(r.roofline);
-        DecodePoint point;
-        point.batch = batch;
-        point.position = positions[pos_idx];
-        point.latency_s = r.total_latency_s;
-        point.tokens_per_s = r.throughput_per_s();  // batch tokens per step
-        point.flops = r.roofline.end_to_end.flops;
-        point.bytes = r.roofline.end_to_end.bytes;
-        point.arithmetic_intensity =
-            r.roofline.end_to_end.arithmetic_intensity();
-        point.bandwidth_bound_fraction = time.bandwidth_bound_latency_fraction();
-        point.bandwidth_bound = point.bandwidth_bound_fraction > 0.5;
-        return point;
-      });
-
-  // Representative per-phase views (smallest batch; decode at the deepest
-  // position): full per-layer time analyses for the table/SVG renderers.
-  // PrepCache makes these re-runs cheap — the grid already prepared both.
-  {
-    const ProfileReport r = Profiler(profile_options(options, batches.front()))
-                                .run(prefill_graph, &prefill_keys);
-    sweep.prefill_time = roofline::time_analysis(r.roofline);
-  }
-  {
-    const ProfileReport r = Profiler(profile_options(options, batches.front()))
-                                .run(decode_graphs.back(), &decode_keys.back());
-    sweep.decode_time = roofline::time_analysis(r.roofline);
-  }
-
+/// Headline bound-ness and display names of a sweep whose cells all ran.
+void finish_sweep(DecodeSweep& sweep) {
   // Headline bound-ness: latency-weighted over the smallest-batch points.
   double latency_sum = 0.0;
   double weighted = 0.0;
   for (const DecodePoint& point : sweep.points) {
-    if (point.batch != batches.front()) {
+    if (point.batch != sweep.options.batches.front()) {
       continue;
     }
     latency_sum += point.latency_s;
@@ -150,11 +58,174 @@ DecodeSweep sweep_decode(const DecodeSweepOptions& options) {
   sweep.decode_bound_fraction = latency_sum > 0.0 ? weighted / latency_sum : 0.0;
 
   const hw::PlatformDesc& platform =
-      hw::PlatformRegistry::instance().get(options.platform_id);
+      hw::PlatformRegistry::instance().get(sweep.options.platform_id);
   sweep.platform_name = platform.name;
-  sweep.backend_name =
-      options.backend_id.empty() ? platform.runtime : options.backend_id;
-  return sweep;
+  sweep.backend_name = sweep.options.backend_id.empty() ? platform.runtime
+                                                        : sweep.options.backend_id;
+}
+
+/// One platform's share of a decode grid.  Cell `c` is prefill point `c`
+/// for c < B, else decode point `c - B`; it records its failure in errors[c].
+struct PlatformGrid {
+  DecodeSweep sweep;
+  std::vector<std::exception_ptr> errors;
+
+  /// The lowest-index failure.  A failed builder (cell 0 or B) skips every
+  /// other cell, so this is the prefill builder's error, else the decode
+  /// builder's, else the first failing grid point's.
+  [[nodiscard]] std::exception_ptr error() const {
+    for (const std::exception_ptr& e : errors) {
+      if (e) {
+        return e;
+      }
+    }
+    return nullptr;
+  }
+};
+
+/// Runs the decode grid on every platform in `platform_ids` as the two-pass
+/// fan-out described in decode_sweep.hpp.  Throws for an invalid grid or
+/// unknown config; cell failures land in PlatformGrid::errors.
+std::vector<PlatformGrid> run_decode_grid(
+    const DecodeSweepOptions& base, const std::vector<std::string>& platform_ids) {
+  DecodeSweepOptions options = base;
+  options.batches = clean_axis(base.batches, "batch sizes");
+  options.positions = clean_axis(base.positions, "decode positions");
+  PROOF_CHECK(options.prefill_len >= 1,
+              "prefill length must be >= 1, got " << options.prefill_len);
+  const models::LlmConfig& cfg = models::llm_config(options.config_id);
+
+  const std::vector<int64_t>& batches = options.batches;
+  const std::vector<int64_t>& positions = options.positions;
+  const size_t decode_begin = batches.size();
+  const size_t cells = decode_begin + batches.size() * positions.size();
+
+  PROOF_SPAN("sweep.decode");
+  PROOF_COUNT("sweep.points", platform_ids.size() * cells);
+
+  // graphs[0] is the prefill graph, graphs[1 + p] the decode step at
+  // positions[p].  Batch is applied during backend prepare (which copies), so
+  // warm the lazy indices and hash the cache fingerprints once up front.  All
+  // decode positions share one structural fingerprint (position only appears
+  // in KV-cache input dims, which the structural key rank-erases), so each
+  // platform builds one AnalysisPlan per phase.
+  std::vector<Graph> graphs;
+  std::vector<GraphKeys> keys;
+  {
+    PROOF_SPAN("sweep.decode.graphs");
+    graphs.reserve(1 + positions.size());
+    graphs.push_back(models::build_llm_prefill(cfg, options.prefill_len));
+    for (const int64_t position : positions) {
+      graphs.push_back(models::build_llm_decode_step(cfg, position));
+    }
+    for (const Graph& graph : graphs) {
+      sweep_axis::warm_shared_graph(graph);
+      keys.push_back(compute_graph_keys(graph));
+    }
+  }
+
+  std::vector<PlatformGrid> grids(platform_ids.size());
+  for (size_t k = 0; k < grids.size(); ++k) {
+    DecodeSweep& sweep = grids[k].sweep;
+    sweep.options = options;
+    sweep.options.platform_id = platform_ids[k];
+    sweep.model_display = cfg.display;
+    sweep.prefill.resize(batches.size());
+    sweep.points.resize(cells - decode_begin);
+    grids[k].errors.resize(cells);
+  }
+
+  // A cell catches its own failure: parallel_for's abort-on-first-exception
+  // would otherwise let one platform cancel the others' cells.  The
+  // representative per-phase views (smallest batch; decode at the deepest
+  // position) keep the time analysis their cell computed anyway.
+  const auto run_cell = [&](size_t k, size_t c) {
+    DecodeSweep& sweep = grids[k].sweep;
+    try {
+      const bool prefill = c < decode_begin;
+      const size_t i = prefill ? c : c - decode_begin;
+      const int64_t batch = batches[prefill ? i : i / positions.size()];
+      const size_t g = prefill ? 0 : 1 + i % positions.size();
+      const ProfileReport r = Profiler(profile_options(sweep.options, batch))
+                                  .run(graphs[g], &keys[g]);
+      roofline::TimeAnalysis time = roofline::time_analysis(r.roofline);
+      if (prefill) {
+        PrefillPoint& point = sweep.prefill[i];
+        point.batch = batch;
+        point.latency_s = r.total_latency_s;
+        point.tokens_per_s =
+            r.total_latency_s > 0.0
+                ? static_cast<double>(batch * options.prefill_len) /
+                      r.total_latency_s
+                : 0.0;
+        point.bandwidth_bound_fraction = time.bandwidth_bound_latency_fraction();
+        if (i == 0) {
+          sweep.prefill_time = std::move(time);
+        }
+        return;
+      }
+      DecodePoint& point = sweep.points[i];
+      point.batch = batch;
+      point.position = positions[g - 1];
+      point.latency_s = r.total_latency_s;
+      point.tokens_per_s = r.throughput_per_s();  // batch tokens per step
+      point.flops = r.roofline.end_to_end.flops;
+      point.bytes = r.roofline.end_to_end.bytes;
+      point.arithmetic_intensity =
+          r.roofline.end_to_end.arithmetic_intensity();
+      point.bandwidth_bound_fraction = time.bandwidth_bound_latency_fraction();
+      point.bandwidth_bound = point.bandwidth_bound_fraction > 0.5;
+      if (i == positions.size() - 1) {
+        sweep.decode_time = std::move(time);
+      }
+    } catch (...) {
+      grids[k].errors[c] = std::current_exception();
+    }
+  };
+
+  {
+    PROOF_SPAN("sweep.decode.plans");
+    ThreadPool::global().parallel_for(2 * grids.size(), [&](size_t i) {
+      run_cell(i / 2, i % 2 == 0 ? 0 : decode_begin);
+    });
+  }
+  {
+    PROOF_SPAN("sweep.decode.cells");
+    std::vector<std::pair<size_t, size_t>> rest;
+    for (size_t k = 0; k < grids.size(); ++k) {
+      if (grids[k].error()) {
+        continue;
+      }
+      for (size_t c = 1; c < cells; ++c) {
+        if (c != decode_begin) {
+          rest.emplace_back(k, c);
+        }
+      }
+    }
+    ThreadPool::global().parallel_for(rest.size(), [&](size_t i) {
+      run_cell(rest[i].first, rest[i].second);
+    });
+  }
+
+  for (PlatformGrid& grid : grids) {
+    if (!grid.error()) {
+      finish_sweep(grid.sweep);
+    }
+  }
+  return grids;
+}
+
+}  // namespace
+
+DecodeSweep sweep_decode(const DecodeSweepOptions& options) {
+  if (options.platform_id.empty()) {
+    throw ConfigError("sweep_decode: platform_id is required");
+  }
+  PlatformGrid grid = std::move(run_decode_grid(options, {options.platform_id}).front());
+  if (const std::exception_ptr error = grid.error()) {
+    std::rethrow_exception(error);
+  }
+  return std::move(grid.sweep);
 }
 
 std::string decode_sweep_text(const DecodeSweep& sweep) {
@@ -279,19 +350,20 @@ std::vector<PlatformDecodeSummary> sweep_decode_platforms(
     platform_ids = hw::PlatformRegistry::instance().ids();
   }
   PROOF_SPAN("sweep.decode_platforms");
+  DecodeSweepOptions options = base;
+  options.backend_id.clear();  // each platform uses its default runtime
+  const std::vector<PlatformGrid> grids = run_decode_grid(options, platform_ids);
   std::vector<PlatformDecodeSummary> rows;
   rows.reserve(platform_ids.size());
-  // Serial over platforms: each platform's sweep is itself a pool fan-out,
-  // and nesting fan-outs would only shuffle the same work.
-  for (const std::string& platform_id : platform_ids) {
+  for (size_t k = 0; k < grids.size(); ++k) {
     PlatformDecodeSummary row;
-    row.platform_id = platform_id;
-    row.platform_name = platform_id;
+    row.platform_id = platform_ids[k];
+    row.platform_name = platform_ids[k];
     try {
-      DecodeSweepOptions options = base;
-      options.platform_id = platform_id;
-      options.backend_id.clear();  // each platform uses its default runtime
-      const DecodeSweep sweep = sweep_decode(options);
+      if (const std::exception_ptr error = grids[k].error()) {
+        std::rethrow_exception(error);
+      }
+      const DecodeSweep& sweep = grids[k].sweep;
       row.platform_name = sweep.platform_name;
       row.decode_bound_fraction = sweep.decode_bound_fraction;
       row.decode_bandwidth_bound = sweep.decode_bandwidth_bound();

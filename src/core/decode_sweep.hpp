@@ -11,10 +11,16 @@
 //   * the decode-bound-ness headline: the fraction of decode time that is
 //     bandwidth-bound at the smallest batch.
 //
-// Points fan out over the global ThreadPool and are written by index, so the
-// output is byte-identical regardless of --jobs (the determinism contract
-// every sweep in this module honors).  Backend preparations hit the shared
-// PrepCache, so the B x P grid re-prepares each distinct graph only once.
+// One grid runner serves both the single-platform sweep and the
+// cross-platform summary.  It builds the prefill graph and one decode graph
+// per position once per call, shared read-only by every platform, then fans
+// out over the global ThreadPool in two passes: first each platform's two
+// structure builders (prefill and decode at the smallest batch and first
+// position), whose distinct structural keys let every AnalysisPlan build
+// concurrently; then every other cell, each instantiating a published plan
+// from the shared PrepCache, so no cell waits on an in-flight build.  Cells
+// are written by index, so the output is byte-identical regardless of
+// --jobs (the determinism contract every sweep in this module honors).
 #pragma once
 
 #include <cstdint>
@@ -107,8 +113,12 @@ struct PlatformDecodeSummary {
   std::string error;
 };
 
-/// Runs `sweep_decode` on every registry platform (or `platform_ids` when
-/// non-empty), capturing per-platform failures instead of aborting.
+/// Runs the decode grid on every registry platform (or `platform_ids` when
+/// non-empty), each on its default runtime (`base.backend_id` is ignored),
+/// in one fan-out.  Throws ConfigError for an invalid grid or unknown config,
+/// like `sweep_decode`; a platform that cannot run the model gets an error
+/// row (the error its prefill builder, else its decode builder, else its
+/// first failing point threw) instead of aborting the others.
 [[nodiscard]] std::vector<PlatformDecodeSummary> sweep_decode_platforms(
     const DecodeSweepOptions& base, std::vector<std::string> platform_ids = {});
 

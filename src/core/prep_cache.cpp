@@ -278,6 +278,23 @@ std::shared_ptr<const PreparedEngine> instantiate_prepared(
   return entry;
 }
 
+/// Non-blocking: true once the future holds its value or exception.
+template <typename T>
+bool is_ready(const std::shared_future<T>& future) {
+  return future.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+}
+
+/// A cached entry, rethrowing its builder's exception.  Blocking on another
+/// caller's in-flight build runs inside a prep_cache.wait span.
+template <typename T>
+T get_entry(const std::shared_future<T>& future, bool in_flight) {
+  if (!in_flight) {
+    return future.get();
+  }
+  PROOF_SPAN("prep_cache.wait");
+  return future.get();
+}
+
 }  // namespace
 
 std::shared_ptr<const PreparedEngine> prepare_engine(
@@ -424,6 +441,7 @@ std::shared_ptr<const PreparedEngine> PrepCache::get_or_prepare(
 
   std::shared_future<std::shared_ptr<const PreparedEngine>> ready;
   bool is_hit = false;
+  bool in_flight = false;  // the hit joins another caller's unfinished build
   {
     // The obs counters are bumped here, inside the same critical section as
     // the struct ledger, so the two stay reconciled: every lookup lands its
@@ -440,6 +458,7 @@ std::shared_ptr<const PreparedEngine> PrepCache::get_or_prepare(
       PROOF_COUNT("prep_cache.hits", 1);
       ready = it->second;
       is_hit = true;
+      in_flight = !is_ready(ready);
     } else {
       ++impl_->stats.engine_misses;
       PROOF_COUNT("prep_cache.misses", 1);
@@ -453,6 +472,7 @@ std::shared_ptr<const PreparedEngine> PrepCache::get_or_prepare(
         ++impl_->stats.plan_cache_hits;
         PROOF_COUNT("plan_cache.hits", 1);
         aplan_future = ait->second;
+        in_flight = !is_ready(aplan_future);
       } else {
         ++impl_->stats.plan_cache_misses;
         PROOF_COUNT("plan_cache.misses", 1);
@@ -489,10 +509,14 @@ std::shared_ptr<const PreparedEngine> PrepCache::get_or_prepare(
         }
       }
     }
+    if (in_flight) {
+      ++impl_->stats.in_flight_waits;
+      PROOF_COUNT("prep_cache.in_flight_waits", 1);
+    }
   }
 
   if (is_hit) {
-    return ready.get();  // rethrows the builder's exception, if any
+    return get_entry(ready, in_flight);
   }
 
   // This call is the builder for its key.
@@ -502,7 +526,8 @@ std::shared_ptr<const PreparedEngine> PrepCache::get_or_prepare(
       // Structural hit: instantiate the frozen plan.  A fingerprint collision
       // (structurally incompatible graph) or an instantiation error falls
       // back to a full build without touching the published plan.
-      const std::shared_ptr<const AnalysisPlan> aplan = aplan_future.get();
+      const std::shared_ptr<const AnalysisPlan> aplan =
+          get_entry(aplan_future, in_flight);
       if (plan_compatible(*aplan, model)) {
         try {
           entry = instantiate_prepared(*aplan, model, platform, config);

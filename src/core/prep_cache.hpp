@@ -79,6 +79,9 @@ struct PrepCacheStats {
   size_t engine_hits = 0;    ///< full (a)-(d) skipped
   size_t engine_misses = 0;
   size_t evictions = 0;      ///< entries dropped by the FIFO memory backstop
+  /// Hits (engine, or plan on an engine miss) that found the entry still
+  /// being built by another caller and blocked on it.
+  size_t in_flight_waits = 0;
 
   // AnalysisPlan level (structural-fingerprint keyed); consulted on engine
   // misses only.

@@ -277,7 +277,8 @@ std::string Server::stats_json() const {
       << ",\"engine_hits\":" << c.engine_hits
       << ",\"engine_misses\":" << c.engine_misses
       << ",\"engine_hit_rate\":" << c.engine_hit_rate()
-      << ",\"evictions\":" << c.evictions << "}";
+      << ",\"evictions\":" << c.evictions
+      << ",\"in_flight_waits\":" << c.in_flight_waits << "}";
 
   // Shape-polymorphic AnalysisPlan level (structural-fingerprint keyed);
   // entries are shared by every batch size / decode position of a model, so

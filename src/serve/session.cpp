@@ -473,8 +473,8 @@ std::string Session::do_sweep_decode(const Request& request,
   deadline.check("before decode sweep");
 
   // Empty or "all" platform: the cross-platform decode-bound-ness summary.
-  // sweep_decode validates grids/config and the per-platform runs ride the
-  // shared ThreadPool + PrepCache like every other heavy request.
+  // Both calls throw ConfigError for a bad grid or config (a typed 400) and
+  // ride the shared ThreadPool + PrepCache like every other heavy request.
   if (options.platform_id.empty() || options.platform_id == "all") {
     options.platform_id.clear();
     return decode_platforms_json(sweep_decode_platforms(options));

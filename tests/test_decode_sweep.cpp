@@ -1,6 +1,7 @@
 // Decode-sweep engine tests: grid semantics, the cross-platform
-// decode-bound-ness claim, --jobs byte-identity, and a golden freezing the
-// JSON report section (tests/golden/decode_sweep_gpt2.json).
+// decode-bound-ness claim and its agreement with single-platform sweeps,
+// --jobs byte-identity, the two-pass fan-out's plan-cache ledger, and a
+// golden freezing the JSON report section (tests/golden/decode_sweep_gpt2.json).
 //
 // Regenerate the golden after an intentional change with:
 //   PROOF_UPDATE_GOLDENS=1 ./proof_tests --gtest_filter='DecodeSweep*'
@@ -14,7 +15,9 @@
 #include <vector>
 
 #include "core/decode_sweep.hpp"
+#include "core/prep_cache.hpp"
 #include "hw/platform.hpp"
+#include "obs/metrics.hpp"
 #include "support/error.hpp"
 #include "support/thread_pool.hpp"
 #include "test_util.hpp"
@@ -76,6 +79,18 @@ TEST(DecodeSweep, RejectsBadGridsAndConfigs) {
   opt = small_options("a100");
   opt.positions.clear();
   EXPECT_THROW(sweep_decode(opt), ConfigError);
+
+  // The cross-platform sweep validates the same grid once, up front, instead
+  // of returning one identical error row per platform.
+  opt = small_options("");
+  opt.config_id = "no_such_llm";
+  EXPECT_THROW((void)sweep_decode_platforms(opt), ConfigError);
+  opt = small_options("");
+  opt.batches = {0, 1};
+  EXPECT_THROW((void)sweep_decode_platforms(opt), ConfigError);
+  opt = small_options("");
+  opt.positions.clear();
+  EXPECT_THROW((void)sweep_decode_platforms(opt, {"a100", "npu3720"}), ConfigError);
 }
 
 TEST(DecodeSweep, AllPlatformsMostlyBandwidthBound) {
@@ -118,6 +133,98 @@ TEST(DecodeSweep, JsonIsByteIdenticalAcrossJobCounts) {
   ThreadPool::set_global_jobs(0);  // restore the default pool
   EXPECT_EQ(serial, parallel)
       << "sweep output must not depend on --jobs (index-written points)";
+}
+
+TEST(DecodeSweep, PlatformsJsonIsByteIdenticalAcrossJobCounts) {
+  const auto run = [] { return decode_platforms_json(sweep_decode_platforms(small_options(""))); };
+  ThreadPool::set_global_jobs(1);
+  const std::string serial = run();
+  ThreadPool::set_global_jobs(4);
+  const std::string parallel = run();
+  ThreadPool::set_global_jobs(0);  // restore the default pool
+  EXPECT_NE(serial.find("\"platform\":\"npu3720\",\"name\":\"npu3720\",\"error\":"),
+            std::string::npos)
+      << serial;
+  EXPECT_EQ(serial, parallel)
+      << "cross-platform output must not depend on --jobs (index-written cells)";
+}
+
+TEST(DecodeSweep, PlatformRowsMatchSinglePlatformSweeps) {
+  DecodeSweepOptions base = small_options("");
+  base.backend_id = "trt_sim";  // ignored: every platform runs its default runtime
+  const std::vector<PlatformDecodeSummary> rows = sweep_decode_platforms(base);
+  ASSERT_EQ(rows.size(), hw::PlatformRegistry::instance().ids().size());
+  for (const PlatformDecodeSummary& row : rows) {
+    SCOPED_TRACE(row.platform_id);
+    if (!row.error.empty()) {
+      // The single-platform sweep throws the very error the row reports.
+      try {
+        (void)sweep_decode(small_options(row.platform_id));
+        ADD_FAILURE() << "sweep_decode ran where the row failed: " << row.error;
+      } catch (const Error& e) {
+        EXPECT_EQ(row.error, e.what());
+      }
+      continue;
+    }
+    const DecodeSweep sweep = sweep_decode(small_options(row.platform_id));
+    EXPECT_EQ(row.platform_name, sweep.platform_name);
+    EXPECT_EQ(row.decode_bound_fraction, sweep.decode_bound_fraction);
+    EXPECT_EQ(row.decode_bandwidth_bound, sweep.decode_bandwidth_bound());
+    // Smallest batch, largest position: the last point of the first row.
+    EXPECT_EQ(row.decode_tokens_per_s,
+              sweep.points[sweep.options.positions.size() - 1].tokens_per_s);
+    EXPECT_EQ(row.prefill_latency_s, sweep.prefill.front().latency_s);
+  }
+  const auto npu = std::find_if(rows.begin(), rows.end(), [](const PlatformDecodeSummary& r) {
+    return r.platform_id == "npu3720";
+  });
+  ASSERT_NE(npu, rows.end());
+  EXPECT_FALSE(npu->error.empty());
+}
+
+TEST(DecodeSweep, PlansBuildOncePerStructureWithoutWaiting) {
+  // Pass 1 builds each platform's prefill and decode AnalysisPlans together;
+  // pass 2 only instantiates published plans.  So on a cold cache there is
+  // exactly one plan miss per (platform, phase), every other cell of a
+  // runnable platform is a plan hit, and no lookup blocks on another
+  // thread's in-flight build, at any job count.
+  PrepCache& cache = PrepCache::instance();
+  cache.set_enabled(true);
+  cache.clear();
+  cache.reset_stats();
+  obs::MetricsRegistry::instance().reset();
+  const DecodeSweepOptions options = small_options("");
+  const size_t cells = options.batches.size() * (1 + options.positions.size());
+
+  // Spans the grid's graph stage; counts nothing when obs is off.
+  const auto graph_builds = [] {
+    return obs::MetricsRegistry::instance().histogram("sweep.decode.graphs").snapshot().count;
+  };
+
+  ThreadPool::set_global_jobs(4);
+  const std::vector<PlatformDecodeSummary> rows = sweep_decode_platforms(options);
+  const PrepCacheStats stats = cache.stats();
+  [[maybe_unused]] const uint64_t graph_builds_after_platforms = graph_builds();
+  (void)sweep_decode(small_options("a100"));
+  ThreadPool::set_global_jobs(0);  // restore the default pool
+
+  const size_t runnable = static_cast<size_t>(std::count_if(
+      rows.begin(), rows.end(), [](const PlatformDecodeSummary& r) { return r.error.empty(); }));
+  EXPECT_EQ(runnable, rows.size() - 1);  // npu3720
+  EXPECT_EQ(stats.plan_cache_misses, 2 * rows.size());
+  EXPECT_EQ(stats.plan_cache_hits, runnable * (cells - 2));
+  EXPECT_EQ(stats.in_flight_waits, 0u);
+  EXPECT_EQ(cache.stats().in_flight_waits, 0u);
+
+#ifndef PROOF_OBS_DISABLED
+  if (obs::enabled()) {
+    // The graphs are built once per call, not once per platform.
+    EXPECT_EQ(graph_builds_after_platforms, 1u);
+    EXPECT_EQ(graph_builds(), 2u);
+    EXPECT_EQ(obs::MetricsRegistry::instance().counter("prep_cache.in_flight_waits").value(),
+              0u);
+  }
+#endif
 }
 
 // --- golden ------------------------------------------------------------------

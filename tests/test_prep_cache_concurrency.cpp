@@ -130,6 +130,8 @@ TEST(PrepCache, ObsCountersReconcileWithStats) {
   EXPECT_EQ(stats.engine_hits, hits);
   EXPECT_EQ(stats.engine_misses, misses);
   EXPECT_EQ(stats.evictions, counter_value("prep_cache.evictions"));
+  EXPECT_EQ(stats.in_flight_waits, counter_value("prep_cache.in_flight_waits"));
+  EXPECT_LE(stats.in_flight_waits, stats.engine_hits + stats.plan_cache_hits);
 #endif
 }
 

@@ -1,5 +1,6 @@
 // End-to-end daemon tests over a real unix-domain socket: byte-identical
-// analyze responses against the frozen goldens, concurrent clients sharing
+// analyze responses against the frozen goldens, sweep_decode responses
+// against the in-process library, concurrent clients sharing
 // the process-wide caches, admission control, cooperative deadlines, graceful
 // drain, and the stats ledger.  Each gtest case runs in its own process
 // (gtest_discover_tests), so servers never share global singleton state with
@@ -15,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/decode_sweep.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "support/json.hpp"
@@ -123,6 +125,7 @@ TEST(ServeE2e, PingStatsAndUnknownMethod) {
   const json::Value doc = json::parse(stats.payload);
   ASSERT_NE(doc.find("server"), nullptr);
   ASSERT_NE(doc.find("prep_cache"), nullptr);
+  EXPECT_NE(doc.find("prep_cache")->find("in_flight_waits"), nullptr);
   ASSERT_NE(doc.find("model_pool"), nullptr);
 
   const serve::Response missing =
@@ -381,6 +384,44 @@ TEST(ServeE2e, RequestCountersReconcile) {
   EXPECT_EQ(s->get_int("requests_error"), 1);  // unknown method
   EXPECT_EQ(s->get_int("connections"), 4);
   EXPECT_EQ(s->get_int("inflight"), 0);
+  server.stop();
+}
+
+// --- sweep_decode ------------------------------------------------------------
+
+// Last in the file: cases share one process under scripts/check_tsan.sh, and
+// ConcurrentClientsShareCachesAndAllSucceed expects the PrepCache ledger of
+// its own requests only.
+TEST(ServeE2e, SweepDecodeMatchesInProcess) {
+  serve::Server server = make_server();
+  server.start();
+  const std::string grid = R"("model":"gpt2","batches":[1,4],"positions":[64,256])";
+  DecodeSweepOptions options;
+  options.batches = {1, 4};
+  options.positions = {64, 256};
+
+  // The cross-platform summary (npu3720 as an error row) and one platform
+  // in depth: the daemon splices the very bytes the library serializes.
+  const serve::Response all = call(
+      server.endpoint(), R"({"id":1,"method":"sweep_decode","params":{"platform":"all",)" + grid + "}}");
+  ASSERT_TRUE(all.is_result()) << all.error_code << ": " << all.error_message;
+  EXPECT_EQ(all.payload, decode_platforms_json(sweep_decode_platforms(options)));
+
+  const serve::Response a100 = call(
+      server.endpoint(), R"({"id":2,"method":"sweep_decode","params":{"platform":"a100",)" + grid + "}}");
+  ASSERT_TRUE(a100.is_result()) << a100.error_code << ": " << a100.error_message;
+  options.platform_id = "a100";
+  EXPECT_EQ(a100.payload, decode_sweep_json(sweep_decode(options)));
+
+  // A bad grid is the client's fault on every platform, "all" included.
+  const serve::Response bad = call(
+      server.endpoint(),
+      R"({"id":3,"method":"sweep_decode","params":{"platform":"all","positions":[0,64]}})");
+  ASSERT_TRUE(bad.is_error());
+  EXPECT_EQ(bad.error_code, 400);
+  EXPECT_EQ(bad.error_kind, "bad_request");
+  EXPECT_NE(bad.error_message.find("decode positions must be positive"), std::string::npos)
+      << bad.error_message;
   server.stop();
 }
 
