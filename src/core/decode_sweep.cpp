@@ -302,14 +302,13 @@ void emit_time_phase(JsonWriter& w, const std::string& key,
 }  // namespace
 
 std::string decode_sweep_json(const DecodeSweep& sweep) {
-  std::ostringstream out;
-  JsonWriter w(out);
+  JsonWriter w;
   w.begin_object();
   w.field("config", sweep.options.config_id);
   w.field("model", sweep.model_display);
   w.field("platform", sweep.options.platform_id);
   w.field("backend", sweep.backend_name);
-  w.field("dtype", std::string(dtype_name(sweep.options.dtype)));
+  w.field("dtype", dtype_name(sweep.options.dtype));
   w.field("prefill_len", sweep.options.prefill_len);
   w.begin_array("prefill");
   for (const PrefillPoint& p : sweep.prefill) {
@@ -341,7 +340,7 @@ std::string decode_sweep_json(const DecodeSweep& sweep) {
   w.field("decode_bound_fraction", sweep.decode_bound_fraction);
   w.field("decode_bandwidth_bound", sweep.decode_bandwidth_bound());
   w.end_object();
-  return out.str();
+  return w.take();
 }
 
 std::vector<PlatformDecodeSummary> sweep_decode_platforms(
@@ -414,8 +413,7 @@ std::string decode_platforms_text(
 
 std::string decode_platforms_json(
     const std::vector<PlatformDecodeSummary>& rows) {
-  std::ostringstream out;
-  JsonWriter w(out);
+  JsonWriter w;
   w.begin_object();
   w.begin_array("platforms");
   for (const PlatformDecodeSummary& row : rows) {
@@ -434,7 +432,7 @@ std::string decode_platforms_json(
   }
   w.end_array();
   w.end_object();
-  return out.str();
+  return w.take();
 }
 
 }  // namespace proof

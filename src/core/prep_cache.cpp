@@ -3,11 +3,13 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <list>
 #include <map>
 #include <mutex>
 #include <optional>
+#include <string_view>
 #include <tuple>
 #include <variant>
 
@@ -26,62 +28,67 @@ double now_s() {
       .count();
 }
 
-// --- structural fingerprint --------------------------------------------------
+// --- graph fingerprints ------------------------------------------------------
 
-class Fnv {
+/// splitmix64's finalizer: every input bit flips each output bit with
+/// probability ~1/2.  Engine-level hits are not re-verified, so words are
+/// folded through it rather than xor-ed or added.
+constexpr uint64_t avalanche(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
+/// Order-sensitive fold of 64-bit words.
+class KeyHash {
  public:
-  void mix(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      byte(static_cast<unsigned char>((v >> (8 * i)) & 0xFFu));
-    }
-  }
-  void mix(const std::string& s) {
-    mix(static_cast<uint64_t>(s.size()));
-    for (const char c : s) {
-      byte(static_cast<unsigned char>(c));
-    }
-  }
+  void mix(uint64_t word) { state_ = avalanche(state_ ^ word); }
   void mix(double d) {
     uint64_t bits = 0;
     std::memcpy(&bits, &d, sizeof(bits));
     mix(bits);
   }
-  [[nodiscard]] uint64_t value() const { return hash_; }
+  [[nodiscard]] uint64_t value() const { return state_; }
 
  private:
-  void byte(unsigned char b) {
-    hash_ ^= b;
-    hash_ *= 0x100000001B3ull;
-  }
-  uint64_t hash_ = 0xCBF29CE484222325ull;
+  uint64_t state_ = 0xCBF29CE484222325ull;
 };
 
-void mix_attrs(Fnv& fnv, const AttrMap& attrs) {
+uint64_t word_of(std::string_view s) {
+  return static_cast<uint64_t>(std::hash<std::string_view>{}(s));
+}
+
+/// One word for a node's attributes; both keys fold it verbatim.
+uint64_t attrs_word(const AttrMap& attrs) {
+  KeyHash h;
   for (const auto& [key, value] : attrs.raw()) {
-    fnv.mix(key);
-    fnv.mix(static_cast<uint64_t>(value.index()));
+    h.mix(word_of(key));
+    h.mix(static_cast<uint64_t>(value.index()));
     if (const auto* i = std::get_if<int64_t>(&value)) {
-      fnv.mix(static_cast<uint64_t>(*i));
+      h.mix(static_cast<uint64_t>(*i));
     } else if (const auto* d = std::get_if<double>(&value)) {
-      fnv.mix(*d);
+      h.mix(*d);
     } else if (const auto* s = std::get_if<std::string>(&value)) {
-      fnv.mix(*s);
+      h.mix(word_of(*s));
     } else if (const auto* is = std::get_if<std::vector<int64_t>>(&value)) {
-      fnv.mix(static_cast<uint64_t>(is->size()));
+      h.mix(static_cast<uint64_t>(is->size()));
       for (const int64_t v : *is) {
-        fnv.mix(static_cast<uint64_t>(v));
+        h.mix(static_cast<uint64_t>(v));
       }
     } else if (const auto* ds = std::get_if<std::vector<double>>(&value)) {
-      fnv.mix(static_cast<uint64_t>(ds->size()));
+      h.mix(static_cast<uint64_t>(ds->size()));
       for (const double v : *ds) {
-        fnv.mix(v);
+        h.mix(v);
       }
     }
   }
+  return h.value();
 }
 
-/// Single-traversal fingerprint core: mixes the graph into the exact and the
-/// structural accumulator so compute_graph_keys pays one walk for both keys.
+}  // namespace
+
+/// One traversal for both keys: each string and each node's attrs is hashed
+/// once into a word that both accumulators fold.
 ///
 /// The structural stream is shape-erased: the graph name is dropped (decode
 /// positions and renamed copies of a model share structure) and non-param
@@ -90,54 +97,45 @@ void mix_attrs(Fnv& fnv, const AttrMap& attrs) {
 /// replay) and node attrs stay verbatim: attrs are structural inputs to
 /// fusion/lowering, and the per-cell attr divergence set_batch_size creates
 /// is handled by instantiate_plan_graph's attr restoration, never by the key.
-void mix_graph(const Graph& model, Fnv& exact, Fnv& structural) {
-  exact.mix(model.name());
-  const auto both = [&](const auto& v) {
-    exact.mix(v);
-    structural.mix(v);
+GraphKeys compute_graph_keys(const Graph& model) {
+  KeyHash exact;
+  KeyHash structural;
+  const auto both = [&](uint64_t word) {
+    exact.mix(word);
+    structural.mix(word);
   };
-  for (const std::string& in : model.inputs()) {
-    both(in);
-  }
-  for (const std::string& out : model.outputs()) {
-    both(out);
-  }
+  const auto names = [&](const std::vector<std::string>& list) {
+    both(static_cast<uint64_t>(list.size()));
+    for (const std::string& name : list) {
+      both(word_of(name));
+    }
+  };
+  exact.mix(word_of(model.name()));
+  names(model.inputs());
+  names(model.outputs());
   both(static_cast<uint64_t>(model.num_nodes()));
   for (const Node& node : model.nodes()) {
-    both(node.name);
-    both(node.op_type);
-    for (const std::string& t : node.inputs) {
-      both(t);
-    }
-    for (const std::string& t : node.outputs) {
-      both(t);
-    }
-    mix_attrs(exact, node.attrs);
-    mix_attrs(structural, node.attrs);
+    both(word_of(node.name));
+    both(word_of(node.op_type));
+    names(node.inputs);
+    names(node.outputs);
+    both(attrs_word(node.attrs));
   }
   for (const auto& [name, desc] : model.tensors()) {
-    both(name);
+    both(word_of(name));
     both(static_cast<uint64_t>(desc.dtype));
     both(static_cast<uint64_t>(desc.is_param ? 1 : 0));
-    for (const int64_t dim : desc.shape.dims()) {
-      exact.mix(static_cast<uint64_t>(dim));
-    }
     if (desc.is_param) {
       for (const int64_t dim : desc.shape.dims()) {
-        structural.mix(static_cast<uint64_t>(dim));
+        both(static_cast<uint64_t>(dim));
       }
     } else {
+      for (const int64_t dim : desc.shape.dims()) {
+        exact.mix(static_cast<uint64_t>(dim));
+      }
       structural.mix(static_cast<uint64_t>(desc.shape.rank()));
     }
   }
-}
-
-}  // namespace
-
-GraphKeys compute_graph_keys(const Graph& model) {
-  Fnv exact;
-  Fnv structural;
-  mix_graph(model, exact, structural);
   return GraphKeys{exact.value(), structural.value()};
 }
 
@@ -196,6 +194,26 @@ size_t env_plan_capacity() {
   return env_capacity_or("PROOF_PLAN_CACHE_CAP", 128);
 }
 
+/// Fills entry.predicted.  `member_ids[i]` are the ids of layer i's mapped
+/// model nodes in the entry's analysis graph, in mapping order.
+void store_predicted_metrics(PreparedEngine& entry,
+                             const std::vector<std::vector<NodeId>>& member_ids) {
+  const std::vector<backends::BackendLayer>& layers = entry.engine.layers();
+  entry.predicted.resize(layers.size());
+  for (size_t i = 0; i < layers.size(); ++i) {
+    PreparedEngine::LayerMetrics& metrics = entry.predicted[i];
+    if (!member_ids[i].empty()) {
+      metrics.flops = entry.oar.fused_flops(member_ids[i]);
+      metrics.bytes = entry.oar.fused_memory(member_ids[i]).total();
+    } else if (layers[i].is_reorder) {
+      // Conversion layer: traffic derivable from its I/O tensor sizes.
+      for (const hw::KernelWork& kernel : layers[i].kernels) {
+        metrics.bytes += kernel.bytes;
+      }
+    }
+  }
+}
+
 /// Runs the full (a)-(d) pipeline; fills `*out_analysis_plan` (when non-null)
 /// with the frozen structure phase for AnalysisPlan publication.
 std::shared_ptr<const PreparedEngine> build_prepared(
@@ -225,6 +243,17 @@ std::shared_ptr<const PreparedEngine> build_prepared(
   // (a const lookup is otherwise a first-use write — a data race).
   entry->engine.analysis_graph().warm_indices();
   entry->ar.graph().warm_indices();
+
+  std::vector<std::vector<NodeId>> member_ids;
+  member_ids.reserve(entry->mapping.entries.size());
+  for (const mapping::LayerMapEntry& mapped : entry->mapping.entries) {
+    std::vector<NodeId>& ids = member_ids.emplace_back();
+    ids.reserve(mapped.model_nodes.size());
+    for (const std::string& name : mapped.model_nodes) {
+      ids.push_back(entry->ar.graph().find_node(name));
+    }
+  }
+  store_predicted_metrics(*entry, member_ids);
 
   if (out_analysis_plan != nullptr) {
     *out_analysis_plan =
@@ -271,6 +300,7 @@ std::shared_ptr<const PreparedEngine> instantiate_prepared(
   entry->mapping_coverage = plan.mapping_coverage;
   entry->unmapped_layers = plan.unmapped_layers;
   entry->analysis_time_s = analysis_s + (now_s() - t1);
+  store_predicted_metrics(*entry, plan.mapping_node_ids);
 
   // Engine and AR share one analysis graph here; one warm covers both (and
   // clone_warm already produced it warm — this is a cheap validity check).

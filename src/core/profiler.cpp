@@ -62,8 +62,6 @@ ProfileReport Profiler::run(const Graph& model, const GraphKeys* keys) const {
                                                 config, keys);
   }
   const backends::Engine& engine = prep->engine;
-  const AnalyzeRepresentation& ar = prep->ar;
-  const OptimizedAnalyzeRepresentation& oar = prep->oar;
   const mapping::LayerMapping& layer_map = prep->mapping;
   report.mapping_coverage = prep->mapping_coverage;
   report.unmapped_layers = prep->unmapped_layers;
@@ -123,22 +121,11 @@ ProfileReport Profiler::run(const Graph& model, const GraphKeys* keys) const {
     if (use_counters) {
       layer.flops = measured_flops[i];
       layer.bytes = measured_bytes[i];
-    } else if (!entry.model_nodes.empty()) {
-      // Analytical model over the mapped node set (fusion-aware Equation 1).
-      std::vector<NodeId> ids;
-      ids.reserve(entry.model_nodes.size());
-      for (const std::string& name : entry.model_nodes) {
-        ids.push_back(ar.graph().find_node(name));
-      }
-      layer.flops = oar.fused_flops(ids);
-      layer.bytes = oar.fused_memory(ids).total();
-    } else if (bl.is_reorder) {
-      // Conversion layer: traffic derivable from its I/O tensor sizes.
-      double bytes = 0.0;
-      for (const hw::KernelWork& k : bl.kernels) {
-        bytes += k.bytes;
-      }
-      layer.bytes = bytes;
+    } else {
+      // Analytical model, computed once per cached entry (fusion-aware
+      // Equation 1 over the mapped node set; kernel traffic for conversions).
+      layer.flops = prep->predicted[i].flops;
+      layer.bytes = prep->predicted[i].bytes;
     }
     report.layers.push_back(std::move(layer));
   }

@@ -1,8 +1,6 @@
 #include "core/report_json.hpp"
 
-#include <cmath>
 #include <fstream>
-#include <sstream>
 
 #include "core/json_writer.hpp"
 #include "obs/self_profile.hpp"
@@ -13,17 +11,15 @@ namespace proof {
 std::string report_to_json(const ProfileReport& report,
                            bool include_self_profile,
                            const std::string& optimization_section) {
-  std::ostringstream out;
-  JsonWriter w(out);
+  JsonWriter w;
   w.begin_object();
   w.field("model", report.model_name);
   w.field("backend", report.backend_name);
   w.field("platform", report.platform_name);
-  w.field("dtype", std::string(dtype_name(report.options.dtype)));
+  w.field("dtype", dtype_name(report.options.dtype));
   w.field("batch", static_cast<int64_t>(report.options.batch));
-  w.field("metrics",
-          std::string(report.counter_profiling_time_s > 0.0 ? "measured"
-                                                            : "predicted"));
+  w.field("metrics", report.counter_profiling_time_s > 0.0 ? "measured"
+                                                           : "predicted");
   w.field("latency_s", report.total_latency_s);
   w.field("throughput_per_s", report.throughput_per_s());
   w.field("power_w", report.power_w);
@@ -47,8 +43,8 @@ std::string report_to_json(const ProfileReport& report,
     const roofline::Point& pt = report.roofline.layers[i];
     w.begin_object();
     w.field("name", layer.backend_layer);
-    w.field("class", std::string(op_class_name(layer.cls)));
-    w.field("mapped_via", std::string(mapping::map_method_name(layer.method)));
+    w.field("class", op_class_name(layer.cls));
+    w.field("mapped_via", mapping::map_method_name(layer.method));
     w.field("is_reorder", layer.is_reorder);
     w.field("latency_s", layer.latency_s);
     w.field("latency_share", pt.latency_share);
@@ -117,7 +113,7 @@ std::string report_to_json(const ProfileReport& report,
     w.raw_field("self_profile", obs::self_profile_json());
   }
   w.end_object();
-  return out.str();
+  return w.take();
 }
 
 void save_json(const std::string& json, const std::string& path) {

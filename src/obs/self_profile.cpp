@@ -8,30 +8,11 @@
 
 #include "obs/span.hpp"
 #include "support/error.hpp"
+#include "support/json.hpp"
 
 namespace proof::obs {
 
 namespace {
-
-void append_escaped(std::ostringstream& out, const std::string& text) {
-  out << '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      default:
-        out << c;
-    }
-  }
-  out << '"';
-}
 
 std::string ms(double seconds) {
   std::ostringstream out;
@@ -52,8 +33,8 @@ std::string self_profile_json() {
     if (i > 0) {
       out << ',';
     }
-    append_escaped(out, snap.counters[i].first);
-    out << ':' << snap.counters[i].second;
+    out << json::quote(snap.counters[i].first) << ':'
+        << snap.counters[i].second;
   }
   out << '}';
 
@@ -62,8 +43,7 @@ std::string self_profile_json() {
     if (i > 0) {
       out << ',';
     }
-    append_escaped(out, snap.gauges[i].first);
-    out << ':' << snap.gauges[i].second;
+    out << json::quote(snap.gauges[i].first) << ':' << snap.gauges[i].second;
   }
   out << '}';
 
@@ -73,9 +53,8 @@ std::string self_profile_json() {
     if (i > 0) {
       out << ',';
     }
-    out << "{\"name\":";
-    append_escaped(out, name);
-    out << ",\"count\":" << hist.count << ",\"total_s\":" << hist.total_s()
+    out << "{\"name\":" << json::quote(name) << ",\"count\":" << hist.count
+        << ",\"total_s\":" << hist.total_s()
         << ",\"mean_s\":" << hist.mean_s()
         << ",\"p50_s\":" << hist.quantile_s(0.5)
         << ",\"p95_s\":" << hist.quantile_s(0.95)
@@ -83,7 +62,7 @@ std::string self_profile_json() {
   }
   out << ']';
 
-  out << ",\"trace_events\":" << trace_events().size()
+  out << ",\"trace_events\":" << trace_event_count()
       << ",\"trace_dropped\":" << trace_dropped() << '}';
   return out.str();
 }

@@ -80,6 +80,13 @@ std::vector<TraceEvent> trace_events() {
   return out;
 }
 
+size_t trace_event_count() {
+  // A completion past the cap holds its slot in `recorded` for an instant
+  // before giving it back; never report more than the buffer can hold.
+  return std::min(trace_buffer().recorded.load(std::memory_order_relaxed),
+                  kMaxTraceEvents);
+}
+
 uint64_t trace_dropped() {
   return trace_buffer().dropped.load(std::memory_order_relaxed);
 }

@@ -76,6 +76,10 @@ constexpr size_t kMaxTraceEvents = 1 << 16;
 /// All buffered events, merged across threads and sorted by start time.
 [[nodiscard]] std::vector<TraceEvent> trace_events();
 
+/// Number of buffered events (at most kMaxTraceEvents), read from one atomic:
+/// no copy, no sort, no shard lock.
+[[nodiscard]] size_t trace_event_count();
+
 /// Number of events dropped since the last clear_trace() due to the cap.
 [[nodiscard]] uint64_t trace_dropped();
 

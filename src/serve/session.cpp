@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <future>
-#include <sstream>
 #include <thread>
+#include <utility>
 
 #include "core/decode_sweep.hpp"
+#include "core/json_writer.hpp"
 #include "core/profiler.hpp"
 #include "core/report_json.hpp"
 #include "core/sweep.hpp"
@@ -80,6 +82,17 @@ std::string require_string(const json::Value& params, const char* key) {
                       key + "\"");
   }
   return v->string_value;
+}
+
+/// One sweep point: a progress frame's result, and an element of the final
+/// result's "points".
+void write_point(JsonWriter& w, const BatchPoint& point) {
+  w.begin_object();
+  w.field("batch", point.batch);
+  w.field("latency_s", point.latency_s);
+  w.field("throughput_per_s", point.throughput_per_s);
+  w.field("attained_flops", point.attained_flops);
+  w.end_object();
 }
 
 /// Mirrors the CLI's options_from(): platform-defaulted dtype, predicted
@@ -288,14 +301,26 @@ bool Session::execute_heavy(const Request& request) {
   bool ok = false;
   try {
     // Execution rides the shared work-stealing pool; this reader thread is
-    // not a pool participant, so a plain future wait cannot deadlock.
-    std::future<std::string> future = ThreadPool::global().submit([&] {
-      return execute(request, deadline);
-    });
-    const std::string result = future.get();
+    // not a pool participant, so a plain future wait cannot deadlock.  The
+    // task returns its exception inside its value and get() moves it out, so
+    // this thread holds the last reference and destroys it; a worker dropping
+    // it through libstdc++'s uninstrumented refcount raced under TSan.
+    using Outcome = std::pair<std::string, std::exception_ptr>;
+    std::future<Outcome> future =
+        ThreadPool::global().submit([&]() -> Outcome {
+          try {
+            return {execute(request, deadline), nullptr};
+          } catch (...) {
+            return {std::string(), std::current_exception()};
+          }
+        });
+    Outcome outcome = future.get();
+    if (outcome.second) {
+      std::rethrow_exception(std::move(outcome.second));
+    }
     server_.release_admission();
     set_inflight_gauge(server_.inflight_.load());
-    send_payload(make_result(request.id, result));
+    send_payload(make_result(request.id, outcome.first));
     return true;
   } catch (const DeadlineExceeded& e) {
     server_.deadline_exceeded_.fetch_add(1);
@@ -348,20 +373,21 @@ std::string Session::do_profile(const Request& request,
     // break the determinism contract the goldens freeze).
     return report_to_json(report);
   }
-  std::ostringstream out;
-  out.precision(12);
-  out << "{\"model\":" << json::quote(report.model_name)
-      << ",\"platform\":" << json::quote(report.platform_name)
-      << ",\"backend\":" << json::quote(report.backend_name)
-      << ",\"batch\":" << report.options.batch
-      << ",\"dtype\":" << json::quote(dtype_name(report.options.dtype))
-      << ",\"total_latency_s\":" << report.total_latency_s
-      << ",\"throughput_per_s\":" << report.throughput_per_s()
-      << ",\"power_w\":" << report.power_w
-      << ",\"mapping_coverage\":" << report.mapping_coverage
-      << ",\"layers\":" << report.layers.size()
-      << ",\"analysis_time_s\":" << report.analysis_time_s << "}";
-  return out.str();
+  JsonWriter w;
+  w.begin_object();
+  w.field("model", report.model_name);
+  w.field("platform", report.platform_name);
+  w.field("backend", report.backend_name);
+  w.field("batch", report.options.batch);
+  w.field("dtype", dtype_name(report.options.dtype));
+  w.field("total_latency_s", report.total_latency_s);
+  w.field("throughput_per_s", report.throughput_per_s());
+  w.field("power_w", report.power_w);
+  w.field("mapping_coverage", report.mapping_coverage);
+  w.field("layers", static_cast<int64_t>(report.layers.size()));
+  w.field("analysis_time_s", report.analysis_time_s);
+  w.end_object();
+  return w.take();
 }
 
 std::string Session::do_sweep(const Request& request, const Deadline& deadline) {
@@ -402,9 +428,6 @@ std::string Session::do_sweep(const Request& request, const Deadline& deadline) 
   // client immediately as a progress frame.
   std::vector<BatchPoint> points;
   points.reserve(candidates.size());
-  std::ostringstream points_json;
-  points_json.precision(12);
-  points_json << "[";
   for (size_t i = 0; i < candidates.size(); ++i) {
     deadline.check("sweep point");
     debug_sleep(p);
@@ -418,27 +441,23 @@ std::string Session::do_sweep(const Request& request, const Deadline& deadline) 
     point.attained_flops = r.roofline.end_to_end.attained_flops();
     points.push_back(point);
 
-    std::ostringstream pj;
-    pj.precision(12);
-    pj << "{\"batch\":" << point.batch
-       << ",\"latency_s\":" << point.latency_s
-       << ",\"throughput_per_s\":" << point.throughput_per_s
-       << ",\"attained_flops\":" << point.attained_flops << "}";
-    send_payload(make_progress(request.id, pj.str()));
-    if (i > 0) {
-      points_json << ",";
-    }
-    points_json << pj.str();
+    JsonWriter progress;
+    write_point(progress, point);
+    send_payload(make_progress(request.id, progress.take()));
   }
-  points_json << "]";
 
-  const int64_t optimal = select_optimal_batch(points, knee_tolerance);
-  std::ostringstream out;
-  out << "{\"model\":" << json::quote(model_id)
-      << ",\"points\":" << points_json.str()
-      << ",\"optimal_batch\":" << optimal
-      << ",\"completed\":" << points.size() << "}";
-  return out.str();
+  JsonWriter w;
+  w.begin_object();
+  w.field("model", model_id);
+  w.begin_array("points");
+  for (const BatchPoint& point : points) {
+    write_point(w, point);
+  }
+  w.end_array();
+  w.field("optimal_batch", select_optimal_batch(points, knee_tolerance));
+  w.field("completed", static_cast<int64_t>(points.size()));
+  w.end_object();
+  return w.take();
 }
 
 std::string Session::do_sweep_decode(const Request& request,

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 
 namespace proof::json {
 
@@ -369,10 +368,16 @@ std::string_view raw(const Value& value, std::string_view text) {
   return text.substr(value.raw_begin, value.raw_end - value.raw_begin);
 }
 
-std::string escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
+void append_escaped(std::string& out, std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  size_t plain = 0;  // start of the pending run that needs no escaping
+  for (size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out.append(text.data() + plain, i - plain);
+    plain = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -381,19 +386,29 @@ std::string escape(std::string_view text) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+      default: {
+        const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(u, sizeof(u));
+      }
     }
   }
+  out.append(text.data() + plain, text.size() - plain);
+}
+
+std::string escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  append_escaped(out, text);
   return out;
 }
 
-std::string quote(std::string_view text) { return "\"" + escape(text) + "\""; }
+std::string quote(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 2);
+  out += '"';
+  append_escaped(out, text);
+  out += '"';
+  return out;
+}
 
 }  // namespace proof::json

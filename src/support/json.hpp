@@ -86,8 +86,13 @@ class Value {
 /// The verbatim bytes of `value` inside the `text` it was parsed from.
 [[nodiscard]] std::string_view raw(const Value& value, std::string_view text);
 
-/// Escapes `text` for embedding inside a JSON string literal (adds no
-/// surrounding quotes); matches the report serializers' escaping.
+/// Appends `text` escaped for a JSON string literal (no surrounding quotes):
+/// `"` and `\` are backslash-escaped, \b \f \n \r \t take their short
+/// forms and every other byte below 0x20 becomes \u00XX.  The one escaper:
+/// escape(), quote(), JsonWriter and the self-profile export all call it.
+void append_escaped(std::string& out, std::string_view text);
+
+/// append_escaped into a fresh string.
 [[nodiscard]] std::string escape(std::string_view text);
 
 /// `"escaped"` with quotes — the common case when hand-writing documents.

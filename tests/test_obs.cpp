@@ -12,6 +12,7 @@
 #include "obs/self_profile.hpp"
 #include "obs/span.hpp"
 #include "support/error.hpp"
+#include "support/json.hpp"
 #include "support/thread_pool.hpp"
 #include "test_util.hpp"
 
@@ -160,6 +161,15 @@ TEST(Obs, SelfProfileJsonIsWellFormed) {
   EXPECT_NE(text.find("test.json_counter"), std::string::npos);
 }
 
+TEST(Obs, SelfProfileJsonEscapesControlBytesInNames) {
+  ObsSandbox sandbox;
+  const std::string name = "test.tab\tcr\rquote\"\x01";
+  MetricsRegistry::instance().counter(name).add(3);
+  const json::Value doc = json::parse(self_profile_json());
+  ASSERT_NE(doc.find("counters"), nullptr);
+  EXPECT_EQ(doc.find("counters")->get_int(name), 3);
+}
+
 TEST(Obs, ResetZeroesValuesButKeepsRegistrations) {
   ObsSandbox sandbox;
   Counter& c = MetricsRegistry::instance().counter("test.reset");
@@ -180,6 +190,28 @@ TEST(Obs, TraceBufferRespectsCap) {
   clear_trace();
   EXPECT_TRUE(trace_events().empty());
   EXPECT_EQ(trace_dropped(), 0u);
+}
+
+TEST(Obs, TraceEventCountMatchesBufferAndStopsAtCap) {
+  ObsSandbox sandbox;
+  EXPECT_EQ(trace_event_count(), 0u);
+  for (int i = 0; i < 100; ++i) {
+    PROOF_SPAN("test.count_span");
+  }
+#ifndef PROOF_OBS_DISABLED
+  EXPECT_EQ(trace_event_count(), 100u);
+  EXPECT_EQ(trace_event_count(), trace_events().size());
+
+  constexpr size_t kPastCap = 25;
+  for (size_t i = trace_event_count(); i < kMaxTraceEvents + kPastCap; ++i) {
+    PROOF_SPAN("test.count_span");
+  }
+  EXPECT_EQ(trace_event_count(), kMaxTraceEvents);
+  EXPECT_EQ(trace_events().size(), kMaxTraceEvents);
+  EXPECT_EQ(trace_dropped(), kPastCap);
+  clear_trace();
+  EXPECT_EQ(trace_event_count(), 0u);
+#endif
 }
 
 // Every metric name a PROOF_SPAN / PROOF_COUNT / PROOF_GAUGE_SET site under

@@ -2,6 +2,7 @@
 // fingerprint properties, byte-identity of every golden between the cache and
 // the uncached prepare_engine oracle, mutation-fuzz proof that structural
 // rewrites invalidate the plan (no stale reuse), stats/capacity behaviour,
+// the predicted per-layer metrics stored on built and instantiated entries,
 // and a concurrency suite (PlanCache.*) run under TSan via
 // scripts/check_tsan.sh.
 #include <gtest/gtest.h>
@@ -227,6 +228,69 @@ TEST(PlanCacheGoldenOptimize, ByteIdenticalOnVsOff) {
 
 TEST(PlanCacheGoldenDecodeSweep, ByteIdenticalOnVsOff) {
   expect_on_off_identical("decode_sweep_gpt2", &generate_decode_sweep);
+}
+
+// --- predicted metrics stored on the entry -----------------------------------
+
+/// The per-call computation Profiler::run made before the predicted metrics
+/// were stored on the entry: Equation 1 over find_node of each mapped model
+/// node; the kernels' bytes for an unmapped conversion layer.
+PreparedEngine::LayerMetrics per_call_metrics(const PreparedEngine& prep,
+                                              size_t layer) {
+  const mapping::LayerMapEntry& entry = prep.mapping.entries[layer];
+  const backends::BackendLayer& bl = prep.engine.layers()[layer];
+  PreparedEngine::LayerMetrics metrics;
+  if (!entry.model_nodes.empty()) {
+    std::vector<NodeId> ids;
+    for (const std::string& name : entry.model_nodes) {
+      ids.push_back(prep.ar.graph().find_node(name));
+    }
+    metrics.flops = prep.oar.fused_flops(ids);
+    metrics.bytes = prep.oar.fused_memory(ids).total();
+  } else if (bl.is_reorder) {
+    for (const hw::KernelWork& kernel : bl.kernels) {
+      metrics.bytes += kernel.bytes;
+    }
+  }
+  return metrics;
+}
+
+TEST(PredictedMetrics, BuiltAndInstantiatedEntriesMatchPerCallComputation) {
+  const hw::PlatformDesc& platform = hw::PlatformRegistry::instance().get("a100");
+  const backends::Backend& backend =
+      backends::BackendRegistry::instance().get("trt_sim");
+  size_t mapped = 0;
+  size_t conversions = 0;
+  for (const char* model_id : {"resnet50", "bert_base", "shufflenetv2_10", "sd_unet"}) {
+    SCOPED_TRACE(model_id);
+    const Graph model = models::build_model(model_id);
+    PrepCache cache;
+    cache.set_enabled(true);
+    // Batch 1 builds the engine and freezes the plan; batch 8 instantiates it.
+    for (const int64_t batch : {1, 8}) {
+      SCOPED_TRACE(batch);
+      backends::BuildConfig config;
+      config.dtype = DType::kF16;
+      config.batch = batch;
+      const auto prep = cache.get_or_prepare(model, backend, platform, config);
+      ASSERT_EQ(prep->predicted.size(), prep->engine.layers().size());
+      for (size_t i = 0; i < prep->predicted.size(); ++i) {
+        const PreparedEngine::LayerMetrics want = per_call_metrics(*prep, i);
+        EXPECT_EQ(prep->predicted[i].flops, want.flops) << prep->engine.layers()[i].name;
+        EXPECT_EQ(prep->predicted[i].bytes, want.bytes) << prep->engine.layers()[i].name;
+        mapped += prep->mapping.entries[i].model_nodes.empty() ? 0 : 1;
+        conversions += prep->mapping.entries[i].model_nodes.empty() &&
+                               prep->engine.layers()[i].is_reorder
+                           ? 1
+                           : 0;
+      }
+    }
+    EXPECT_EQ(cache.stats().plan_cache_misses, 1u);
+    EXPECT_EQ(cache.stats().plan_cache_hits, 1u);
+  }
+  // Both branches ran.
+  EXPECT_GT(mapped, 0u);
+  EXPECT_GT(conversions, 0u);
 }
 
 // --- mutation fuzz: structural rewrites must invalidate the plan -------------

@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -17,6 +18,8 @@
 #include <vector>
 
 #include "core/decode_sweep.hpp"
+#include "core/profiler.hpp"
+#include "core/sweep.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "support/json.hpp"
@@ -387,11 +390,80 @@ TEST(ServeE2e, RequestCountersReconcile) {
   server.stop();
 }
 
+// The last two cases come after ConcurrentClientsShareCachesAndAllSucceed:
+// cases share one process under scripts/check_tsan.sh, and that case expects
+// the PrepCache ledger of its own requests only.
+
+// --- the daemon's own documents ----------------------------------------------
+
+std::string g12(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.12g", v);
+  return buf;
+}
+
+/// A profile summary and a sweep's progress frames and result, rebuilt from
+/// in-process Profiler::run results with printf's %.12g: the daemon's bytes.
+TEST(ServeE2e, ProfileSummaryAndSweepFramesMatchInProcessBytes) {
+  serve::Server server = make_server();
+  server.start();
+  ProfileOptions opt;
+  opt.platform_id = "a100";
+  opt.backend_id = "trt_sim";
+  opt.dtype = DType::kF16;
+  opt.batch = 2;
+
+  const serve::Response profile = call(
+      server.endpoint(),
+      R"({"id":1,"method":"profile","params":{"model":"shufflenetv2_10","platform":"a100","backend":"trt_sim","dtype":"fp16","batch":2}})");
+  ASSERT_TRUE(profile.is_result()) << profile.error_code << ": " << profile.error_message;
+  // An engine-cache hit: analysis_time_s is the daemon's build time too.
+  const ProfileReport r = Profiler(opt).run_zoo("shufflenetv2_10");
+  EXPECT_EQ(profile.payload,
+            "{\"model\":\"" + r.model_name + "\",\"platform\":\"" + r.platform_name +
+                "\",\"backend\":\"" + r.backend_name + "\",\"batch\":2,\"dtype\":\"fp16\"" +
+                ",\"total_latency_s\":" + g12(r.total_latency_s) +
+                ",\"throughput_per_s\":" + g12(r.throughput_per_s()) +
+                ",\"power_w\":" + g12(r.power_w) +
+                ",\"mapping_coverage\":" + g12(r.mapping_coverage) +
+                ",\"layers\":" + std::to_string(r.layers.size()) +
+                ",\"analysis_time_s\":" + g12(r.analysis_time_s) + "}");
+
+  const std::vector<serve::Response> frames = roundtrip(
+      server.endpoint(),
+      R"({"id":2,"method":"sweep","params":{"model":"shufflenetv2_10","platform":"a100","batches":[1,2]}})");
+  ASSERT_EQ(frames.size(), 3u);
+  ASSERT_TRUE(frames.back().is_result())
+      << frames.back().error_code << ": " << frames.back().error_message;
+  std::vector<BatchPoint> points;
+  std::string points_json;
+  for (const int64_t batch : {1, 2}) {
+    opt.backend_id.clear();  // the platform's default runtime, as the daemon
+    opt.batch = batch;
+    const ProfileReport p = Profiler(opt).run_zoo("shufflenetv2_10");
+    points.push_back({batch, p.total_latency_s, p.throughput_per_s(),
+                      p.roofline.end_to_end.attained_flops()});
+    const std::string point = "{\"batch\":" + std::to_string(batch) +
+                              ",\"latency_s\":" + g12(points.back().latency_s) +
+                              ",\"throughput_per_s\":" +
+                              g12(points.back().throughput_per_s) +
+                              ",\"attained_flops\":" +
+                              g12(points.back().attained_flops) + "}";
+    const serve::Response& progress = frames[static_cast<size_t>(batch - 1)];
+    ASSERT_TRUE(progress.is_progress());
+    EXPECT_EQ(progress.payload, point);
+    points_json += (points_json.empty() ? "" : ",") + point;
+  }
+  EXPECT_EQ(frames.back().payload,
+            "{\"model\":\"shufflenetv2_10\",\"points\":[" + points_json +
+                "],\"optimal_batch\":" +
+                std::to_string(select_optimal_batch(points)) +
+                ",\"completed\":2}");
+  server.stop();
+}
+
 // --- sweep_decode ------------------------------------------------------------
 
-// Last in the file: cases share one process under scripts/check_tsan.sh, and
-// ConcurrentClientsShareCachesAndAllSucceed expects the PrepCache ledger of
-// its own requests only.
 TEST(ServeE2e, SweepDecodeMatchesInProcess) {
   serve::Server server = make_server();
   server.start();
