@@ -53,53 +53,6 @@ inline void banner(const std::string& title) {
   std::cout << "\n=== " << title << " ===\n\n";
 }
 
-/// Hardware threads visible to this process (>= 1 even when the runtime
-/// reports 0).
-inline unsigned hardware_threads() {
-  const unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : n;
-}
-
-/// True when the user explicitly allowed a scaling bench to record numbers on
-/// a single-core host (--allow-single-core or PROOF_BENCH_ALLOW_SINGLE_CORE=1).
-inline bool single_core_allowed(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--allow-single-core") {
-      return true;
-    }
-  }
-  const char* env = std::getenv("PROOF_BENCH_ALLOW_SINGLE_CORE");
-  return env != nullptr && *env != '\0' && std::string(env) != "0";
-}
-
-/// Gate for multicore scaling benches.  On a 1-hardware-thread host the
-/// scaling claim is unmeasurable, so the bench fails loudly instead of
-/// recording numbers that look like a parallelism regression.  Returns true
-/// when the bench should proceed; `*degraded` is set when proceeding under
-/// the explicit single-core override (artifacts must then be annotated).
-inline bool require_multicore(const std::string& bench_name, int argc,
-                              char** argv, bool* degraded) {
-  *degraded = false;
-  if (hardware_threads() > 1) {
-    return true;
-  }
-  if (single_core_allowed(argc, argv)) {
-    std::cout << "WARNING: " << bench_name << " is running on a host with 1 "
-              << "hardware thread under --allow-single-core; scaling numbers "
-              << "will be recorded but the multicore criterion cannot be "
-              << "demonstrated here.\n";
-    *degraded = true;
-    return true;
-  }
-  std::cerr
-      << "FAIL: " << bench_name << " needs more than 1 hardware thread to "
-      << "measure multicore scaling, but this host exposes exactly 1 "
-      << "(std::thread::hardware_concurrency). Re-run on a multicore machine, "
-      << "or pass --allow-single-core (or set PROOF_BENCH_ALLOW_SINGLE_CORE=1) "
-      << "to record single-core-degraded numbers anyway.\n";
-  return false;
-}
-
 inline void note_artifact(const std::string& path) {
   std::cout << "[artifact] " << path << "\n";
 }

@@ -4,7 +4,10 @@
 #  2. drive it with concurrent clients (two analyzes + a stats call);
 #  3. check the daemon's analyze output matches the single-shot CLI after
 #     normalizing the two wall-clock-dependent timing fields;
-#  4. graceful shutdown via the `shutdown` method; the daemon must drain
+#  4. warm vs cold: one `profile` of a model the daemon has not loaded, then
+#     repeats; the daemon's own `stats` latency (client start-up excluded)
+#     must show the cold request (max_s) >= 3x the warm median (p50_s);
+#  5. graceful shutdown via the `shutdown` method; the daemon must drain
 #     and exit 0.
 #
 # Usage: scripts/serve_smoke.sh [path/to/proof]
@@ -60,6 +63,25 @@ normalize "$OUT/daemon_resnet50.json" > "$OUT/daemon_norm.json"
 normalize "$OUT/single_resnet50.json" > "$OUT/single_norm.json"
 cmp "$OUT/daemon_norm.json" "$OUT/single_norm.json"
 echo "daemon analyze matches single-shot CLI (normalized)"
+
+# Warm vs cold: the first bert_base profile pays the model build and the
+# engine preparation; the next 8 hit the ModelPool and the PrepCache.
+for _ in $(seq 1 9); do
+  "$PROOF" client --connect "unix:$SOCK" --method profile --model bert_base \
+    --platform a100 > /dev/null
+done
+"$PROOF" client --connect "unix:$SOCK" --method stats > "$OUT/stats_profile.json"
+row="$(grep -o '"profile":{[^}]*}' "$OUT/stats_profile.json" || true)"
+field() { sed -E "s/.*\"$1\":([^,}]+).*/\1/" <<< "$row"; }
+if [ "$(field count)" != 9 ]; then
+  echo "stats should time 9 profile requests, got: ${row:-no profile row}"
+  exit 1
+fi
+awk -v cold="$(field max_s)" -v warm="$(field p50_s)" 'BEGIN {
+  printf "profile: cold %.3f ms, warm p50 %.3f ms, %.1fx\n",
+         cold * 1e3, warm * 1e3, cold / warm
+  exit !(cold >= 3 * warm)
+}' || { echo "warm profiles are not >= 3x faster than the cold one"; exit 1; }
 
 # Graceful shutdown: ack first, then drain; daemon exits 0.
 "$PROOF" client --connect "unix:$SOCK" --method shutdown > /dev/null

@@ -119,7 +119,7 @@ std::vector<PlatformGrid> run_decode_grid(
       graphs.push_back(models::build_llm_decode_step(cfg, position));
     }
     for (const Graph& graph : graphs) {
-      sweep_axis::warm_shared_graph(graph);
+      graph.warm_indices();
       keys.push_back(compute_graph_keys(graph));
     }
   }

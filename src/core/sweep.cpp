@@ -15,24 +15,27 @@
 
 namespace proof {
 
-BatchSweep sweep_batches(const ProfileOptions& base, const Graph& model,
-                         std::vector<int64_t> candidates, double knee_tolerance) {
-  if (candidates.empty()) {
+std::vector<int64_t> batch_candidates(std::vector<int64_t> requested) {
+  if (requested.empty()) {
     for (int64_t b = 1; b <= 2048; b *= 2) {
-      candidates.push_back(b);
+      requested.push_back(b);
     }
   }
-  PROOF_CHECK(knee_tolerance >= 0.0 && knee_tolerance < 1.0,
-              "knee_tolerance must be in [0, 1)");
-
-  // Validate: keep positive batches, first occurrence of each value.
   sweep_axis::AxisSpec spec;
   spec.context = "sweep_batches";
   spec.what = "batch candidates";
   spec.empty_hint = "need at least one positive batch size";
-  const std::vector<int64_t> valid = sweep_axis::clean_axis(candidates, spec);
+  return sweep_axis::clean_axis(requested, spec);
+}
 
-  sweep_axis::warm_shared_graph(model);
+BatchSweep sweep_batches(const ProfileOptions& base, const Graph& model,
+                         std::vector<int64_t> candidates, double knee_tolerance) {
+  PROOF_CHECK(knee_tolerance >= 0.0 && knee_tolerance < 1.0,
+              "knee_tolerance must be in [0, 1)");
+  const std::vector<int64_t> valid = batch_candidates(std::move(candidates));
+
+  // Warm indices make the cells' concurrent const lookups pure reads.
+  model.warm_indices();
   // Every cell profiles the same graph; hash it once instead of per cell.
   const GraphKeys keys = compute_graph_keys(model);
   PROOF_SPAN("sweep.batches");
@@ -151,7 +154,7 @@ ClockSweep sweep_clocks(const ProfileOptions& base, const Graph& model,
               "platform exposes no GPU clock steps to sweep");
   std::sort(gpu_mhz_steps.begin(), gpu_mhz_steps.end());
 
-  sweep_axis::warm_shared_graph(model);
+  model.warm_indices();
   // Clock changes touch nothing structural (and nothing shape-dependent
   // either — every cell reuses one cached engine); hash the graph once.
   const GraphKeys keys = compute_graph_keys(model);

@@ -31,11 +31,15 @@ struct BatchSweep {
   int64_t optimal_batch = 0;
 };
 
-/// Profiles `model` at each candidate batch (default: powers of two 1..2048)
-/// and selects the saturation knee.  `knee_tolerance` = 0.05 keeps the
-/// smallest batch within 5 % of peak throughput.  Candidates must be
-/// positive; duplicates are dropped (first occurrence wins) and an explicit
-/// list with no valid candidate throws ConfigError.
+/// The batches a batch sweep profiles: `requested`, or powers of two 1..2048
+/// when it is empty, with non-positive entries and repeats dropped (first
+/// occurrence wins).  Throws ConfigError when no candidate is left.  Shared
+/// by sweep_batches and the serve daemon's incremental sweep.
+[[nodiscard]] std::vector<int64_t> batch_candidates(std::vector<int64_t> requested);
+
+/// Profiles `model` at each of `batch_candidates(candidates)` and selects
+/// the saturation knee.  `knee_tolerance` = 0.05 keeps the smallest batch
+/// within 5 % of peak throughput.
 [[nodiscard]] BatchSweep sweep_batches(const ProfileOptions& base,
                                        const Graph& model,
                                        std::vector<int64_t> candidates = {},

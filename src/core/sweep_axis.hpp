@@ -1,13 +1,12 @@
-// Shared sweep-grid utilities: axis candidate validation and read-only graph
-// warm-up, deduplicated between sweep.cpp and decode_sweep.cpp.
+// Shared sweep-grid axis validation, used by sweep.cpp and decode_sweep.cpp.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "graph/graph.hpp"
 #include "support/error.hpp"
 
 namespace proof::sweep_axis {
@@ -53,10 +52,5 @@ inline std::vector<int64_t> clean_axis(const std::vector<int64_t>& values,
   }
   return valid;
 }
-
-/// Materializes a shared model's lazy lookup indices before a parallel
-/// region so concurrent const lookups on it are pure reads (the indices are
-/// rebuilt on first use otherwise — a data race across threads).
-inline void warm_shared_graph(const Graph& model) { model.warm_indices(); }
 
 }  // namespace proof::sweep_axis

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
+#include <iostream>
 #include <mutex>
 #include <sstream>
 
@@ -101,8 +102,14 @@ void dump_self_profile(const std::string& path) {
     return;
   }
   std::ofstream out(path);
-  PROOF_CHECK(out.good(), "cannot open '" << path << "' for writing");
+  if (!out) {
+    throw Error("cannot open metrics file '" + path + "' for writing");
+  }
   out << self_profile_json() << "\n";
+  out.flush();
+  if (!out) {
+    throw Error("failed writing metrics file '" + path + "'");
+  }
 }
 
 void arm_metrics_dump_at_exit() {
@@ -114,8 +121,15 @@ void arm_metrics_dump_at_exit() {
     }
     std::atexit([] {
       const char* out = std::getenv("PROOF_METRICS_OUT");
-      if (out != nullptr && out[0] != '\0') {
+      if (out == nullptr || out[0] == '\0') {
+        return;
+      }
+      // An exception escaping an exit handler would abort the process after
+      // its real work is done; report the lost record instead.
+      try {
         dump_self_profile(out);
+      } catch (const std::exception& e) {
+        std::cerr << "PROOF_METRICS_OUT: " << e.what() << "\n";
       }
     });
   });

@@ -24,11 +24,13 @@ namespace proof::obs {
 /// Human-readable rendering of the same snapshot (span table + counters).
 [[nodiscard]] std::string self_profile_text();
 
-/// Writes self_profile_json() to `path` ("" = no-op).
+/// Writes self_profile_json() to `path` ("" = no-op).  Throws proof::Error
+/// naming `path` when the file cannot be opened, written or flushed.
 void dump_self_profile(const std::string& path);
 
 /// Registers an atexit dump to $PROOF_METRICS_OUT once per process; cheap to
-/// call repeatedly.  Invoked by the instrumented pipeline entry points.
+/// call repeatedly.  Invoked by the instrumented pipeline entry points.  A
+/// failed dump prints one stderr line naming the path; the exit code stays.
 void arm_metrics_dump_at_exit();
 
 }  // namespace proof::obs

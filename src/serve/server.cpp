@@ -32,10 +32,6 @@ static_assert(std::atomic<bool>::is_always_lock_free);
 
 extern "C" void handle_stop_signal(int) { g_signal_stop.store(true); }
 
-/// The serve-protocol methods with per-endpoint latency histograms.
-constexpr const char* kMethods[] = {"ping",    "stats", "shutdown",
-                                    "profile", "analyze", "sweep"};
-
 }  // namespace
 
 Server::Server(ServerOptions options) : options_(std::move(options)) {
@@ -183,9 +179,14 @@ void Server::drain_and_join() {
 
   // Final flush: a daemon killed by SIGTERM must still leave its metrics
   // record behind (the atexit hook also fires, but flushing here makes the
-  // file complete the moment wait() returns).
+  // file complete the moment wait() returns).  A file that cannot be written
+  // costs one stderr line; the drain still completes.
   if (const char* path = std::getenv("PROOF_METRICS_OUT")) {
-    obs::dump_self_profile(path);
+    try {
+      obs::dump_self_profile(path);
+    } catch (const std::exception& e) {
+      std::cerr << "[proof serve] PROOF_METRICS_OUT: " << e.what() << "\n";
+    }
   }
   log("stopped (uptime " +
       std::to_string(steady_now_s() - start_time_s_) + "s, " +
@@ -244,9 +245,10 @@ std::string Server::stats_json() const {
 #ifndef PROOF_OBS_DISABLED
   if (obs::enabled()) {
     bool first = true;
-    for (const char* method : kMethods) {
+    for (const Method& method : kMethods) {
+      const std::string name(method.name);
       const obs::HistogramSnapshot h = obs::MetricsRegistry::instance()
-                                           .histogram(std::string("serve.latency.") + method)
+                                           .histogram("serve.latency." + name)
                                            .snapshot();
       if (h.count == 0) {
         continue;
@@ -255,7 +257,7 @@ std::string Server::stats_json() const {
         out << ",";
       }
       first = false;
-      out << json::quote(method) << ":{"
+      out << json::quote(name) << ":{"
           << "\"count\":" << h.count
           << ",\"mean_s\":" << h.mean_s()
           << ",\"p50_s\":" << h.quantile_s(0.50)

@@ -5,9 +5,12 @@
 // length-prefixed JSON protocol (serve/protocol.hpp).  Request execution
 // rides the existing machinery instead of duplicating it:
 //
-//  * heavy requests (profile / analyze / sweep) are submitted to the global
-//    work-stealing ThreadPool — concurrent requests are the parallelism, and
-//    nested sweep fan-outs compose with it;
+//  * heavy requests (profile / analyze / sweep / sweep_decode / optimize) are
+//    submitted to the global work-stealing ThreadPool and nested sweep
+//    fan-outs compose with it.  At --jobs N >= 2 they run on the pool's N-1
+//    workers, so at most N-1 execute at once and other admitted requests
+//    queue; at --jobs 1 the serial pool runs each inline on its session
+//    thread;
 //  * all requests share the process-wide PrepCache and one interned-graph
 //    ModelPool, so the expensive artifacts (prepared engines, fusion plans,
 //    mappings, warmed graph indices) are paid once per process and amortized
@@ -21,7 +24,8 @@
 //    mid-build, so a cancelled request can not poison the shared caches;
 //  * graceful shutdown (SIGINT/SIGTERM or the `shutdown` method) stops
 //    accepting, fails new requests with 503, drains in-flight work up to
-//    `drain_timeout_s`, flushes PROOF_METRICS_OUT, and joins every thread.
+//    `drain_timeout_s`, flushes PROOF_METRICS_OUT (a failed write is one
+//    stderr line), and joins every thread.
 //
 // See DESIGN.md §11 for the architecture and docs/SERVE.md for the wire
 // protocol.
@@ -46,8 +50,9 @@ struct ServerOptions {
   /// "unix:/path/to.sock" or "host:port" (port 0 = ephemeral, reported by
   /// Server::endpoint() after start()).
   std::string listen = "127.0.0.1:0";
-  /// Max heavy requests admitted at once (executing or queued on the pool);
-  /// 0 = 2x the global thread pool's parallelism.
+  /// Max heavy requests admitted at once (executing or queued on the pool:
+  /// at most jobs-1 execute when jobs >= 2); 0 = 2x the global thread pool's
+  /// parallelism.
   unsigned max_inflight = 0;
   /// Applied when a request carries no deadline_ms of its own; 0 = none.
   double default_deadline_s = 0.0;

@@ -1,6 +1,5 @@
 #include "serve/session.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <future>
@@ -29,12 +28,15 @@ double steady_now_s() {
       .count();
 }
 
-/// Known methods only — dynamic metric names must not let a misbehaving
-/// client grow the registry unboundedly.
-bool known_method(const std::string& method) {
-  return method == "ping" || method == "stats" || method == "shutdown" ||
-         method == "profile" || method == "analyze" || method == "sweep" ||
-         method == "sweep_decode" || method == "optimize";
+/// The kMethods entry for `name`, or nullptr.  Only listed methods get
+/// per-method metrics, so a misbehaving client cannot grow the registry.
+const Method* find_method(std::string_view name) {
+  for (const Method& method : kMethods) {
+    if (method.name == name) {
+      return &method;
+    }
+  }
+  return nullptr;
 }
 
 void count_metric(const std::string& name, uint64_t n = 1) {
@@ -48,11 +50,11 @@ void count_metric(const std::string& name, uint64_t n = 1) {
 #endif
 }
 
-void observe_latency(const std::string& method, uint64_t ns) {
+void observe_latency(const Method& method, uint64_t ns) {
 #ifndef PROOF_OBS_DISABLED
-  if (obs::enabled() && known_method(method)) {
+  if (obs::enabled()) {
     obs::MetricsRegistry::instance()
-        .histogram("serve.latency." + method)
+        .histogram("serve.latency." + std::string(method.name))
         .observe_ns(ns);
   }
 #else
@@ -232,12 +234,18 @@ void Session::handle(const Request& request) {
   const auto t0 = std::chrono::steady_clock::now();
   server_.requests_total_.fetch_add(1);
   count_metric("serve.requests");
-  if (known_method(request.method)) {
+  const Method* method = find_method(request.method);
+  if (method != nullptr) {
     count_metric("serve.requests." + request.method);
   }
 
   bool ok = false;
-  if (request.method == "ping") {
+  if (method == nullptr) {
+    send_payload(make_error(request.id, ErrorCode::kNotFound,
+                            "unknown method '" + request.method + "'"));
+  } else if (method->heavy) {
+    ok = execute_heavy(request);
+  } else if (request.method == "ping") {
     send_payload(make_result(request.id,
                              "{\"ok\":true,\"version\":" +
                                  std::to_string(kProtocolVersion) + "}"));
@@ -250,13 +258,6 @@ void Session::handle(const Request& request) {
     ok = true;
     server_.log("session " + std::to_string(id_) + ": shutdown requested");
     server_.request_stop();
-  } else if (request.method == "profile" || request.method == "analyze" ||
-             request.method == "sweep" || request.method == "sweep_decode" ||
-             request.method == "optimize") {
-    ok = execute_heavy(request);
-  } else {
-    send_payload(make_error(request.id, ErrorCode::kNotFound,
-                            "unknown method '" + request.method + "'"));
   }
 
   if (ok) {
@@ -270,7 +271,9 @@ void Session::handle(const Request& request) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
           .count());
-  observe_latency(request.method, ns);
+  if (method != nullptr) {
+    observe_latency(*method, ns);
+  }
 }
 
 bool Session::execute_heavy(const Request& request) {
@@ -398,28 +401,14 @@ std::string Session::do_sweep(const Request& request, const Deadline& deadline) 
   PROOF_CHECK(knee_tolerance >= 0.0 && knee_tolerance < 1.0,
               "knee_tolerance must be in [0, 1)");
 
-  // Candidate validation mirrors sweep_batches: positive batches, first
-  // occurrence wins, default = powers of two up to 2048.
-  std::vector<int64_t> candidates;
+  std::vector<int64_t> requested;
   if (const json::Value* list = p.find("batches")) {
     PROOF_CHECK(list->is_array(), "\"batches\" must be an array of integers");
-    std::vector<int64_t> requested;
     for (const json::Value& v : list->array) {
       requested.push_back(v.as_int());
     }
-    for (const int64_t b : requested) {
-      if (b > 0 && std::find(candidates.begin(), candidates.end(), b) ==
-                       candidates.end()) {
-        candidates.push_back(b);
-      }
-    }
-    PROOF_CHECK(!candidates.empty(),
-                "sweep needs at least one positive batch candidate");
-  } else {
-    for (int64_t b = 1; b <= 2048; b *= 2) {
-      candidates.push_back(b);
-    }
   }
+  const std::vector<int64_t> candidates = batch_candidates(std::move(requested));
 
   const std::shared_ptr<const Graph> model = server_.models().get(model_id);
 

@@ -5,7 +5,10 @@
 // connection handles one request at a time (no pipelining); heavy requests
 // are executed as tasks on the global ThreadPool while the session thread
 // waits, so streaming progress frames (sweep points as they complete) can be
-// written from the executing task without racing the reader.
+// written from the executing task without racing the reader.  At --jobs
+// N >= 2 those tasks run on the pool's N-1 workers, so at most N-1 heavy
+// requests execute at once and other admitted ones queue; at --jobs 1 the
+// serial pool runs each task inline on its own session thread.
 //
 // Error discipline: malformed payloads produce a typed error response and
 // the connection stays usable; framing violations (oversized prefix,
@@ -17,6 +20,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "serve/protocol.hpp"
@@ -25,6 +29,22 @@
 namespace proof::serve {
 
 class Server;
+
+/// One serve-protocol method.  Heavy methods are admission-gated and run on
+/// the ThreadPool; the others are answered inline on the session thread.
+struct Method {
+  std::string_view name;
+  bool heavy;
+};
+
+/// Every method the daemon answers; any other name is a 404.  Dispatch, the
+/// per-method counters (`serve.requests.<name>`, `serve.latency.<name>`) and
+/// the `stats` endpoint latencies all read this one list.
+inline constexpr Method kMethods[] = {
+    {"ping", false},    {"stats", false}, {"shutdown", false},
+    {"profile", true},  {"analyze", true}, {"sweep", true},
+    {"sweep_decode", true}, {"optimize", true},
+};
 
 /// Cooperative per-request deadline.  Handlers call check() at cancellation
 /// points (request start, between sweep points); an expired deadline throws
@@ -77,8 +97,8 @@ class Session {
   void run();
   void handle(const Request& request);
 
-  /// Admission control + pool submission + typed error mapping for
-  /// profile/analyze/sweep.  Returns true when a result was sent.
+  /// Admission control + pool submission + typed error mapping for the
+  /// heavy methods.  Returns true when a result was sent.
   bool execute_heavy(const Request& request);
 
   /// Runs inside the pool task; returns the raw result JSON to splice into

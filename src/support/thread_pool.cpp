@@ -1,5 +1,6 @@
 #include "support/thread_pool.hpp"
 
+#include <chrono>
 #include <cstdlib>
 #include <mutex>
 #include <string>

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -51,28 +50,15 @@ class ThreadPool {
   }
 
   /// Schedules `fn` and returns its future.  On a serial pool the task runs
-  /// inline before `submit` returns.  Never block on the returned future from
-  /// inside a pool task without draining (`wait` does both).
+  /// inline before `submit` returns.  Block on the future only outside the
+  /// pool: a pool task waiting on a queued task can deadlock it (nested work
+  /// belongs in `parallel_for`, whose caller helps drain).
   template <typename F, typename R = std::invoke_result_t<F>>
   std::future<R> submit(F&& fn) {
     auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
     std::future<R> future = task->get_future();
     enqueue([task] { (*task)(); });
     return future;
-  }
-
-  /// Blocks on `future` while helping to drain the pool's queues, so a task
-  /// may safely submit subtasks and wait for them.
-  template <typename R>
-  R wait(std::future<R>& future) {
-    while (future.wait_for(std::chrono::seconds(0)) !=
-           std::future_status::ready) {
-      if (!try_run_one()) {
-        // Blocking briefly beats spinning when cores are oversubscribed.
-        (void)future.wait_for(std::chrono::microseconds(50));
-      }
-    }
-    return future.get();
   }
 
   /// Runs `body(i)` for every i in [0, n).  The caller participates, workers
@@ -90,9 +76,6 @@ class ThreadPool {
     parallel_for(n, [&](size_t i) { out[i] = fn(i); });
     return out;
   }
-
-  /// Steals and runs one pending task; false when every queue is empty.
-  bool try_run_one();
 
   // --- global pool -----------------------------------------------------------
 
@@ -112,6 +95,8 @@ class ThreadPool {
   struct Queue;
 
   void enqueue(std::function<void()> fn);
+  /// Steals and runs one pending task; false when every queue is empty.
+  bool try_run_one();
   void worker_loop(size_t self);
   bool pop_task(size_t preferred, std::function<void()>& out);
 

@@ -1,16 +1,20 @@
 // Unit tests: the observability layer (obs/) — sharded counters under the
 // thread pool, histogram bucketing/quantiles, RAII spans, the runtime
-// disable switch, the self-profile JSON export, and docs/METRICS.md coverage
-// of every metric name emitted from src/.
+// disable switch, the self-profile JSON export and its write failures, and
+// docs/METRICS.md coverage of every metric name emitted from src/.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/self_profile.hpp"
 #include "obs/span.hpp"
+#include "serve/session.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
 #include "support/thread_pool.hpp"
@@ -214,8 +218,27 @@ TEST(Obs, TraceEventCountMatchesBufferAndStopsAtCap) {
 #endif
 }
 
+TEST(Obs, DumpSelfProfileThrowsNamingAnUnwritablePath) {
+  const std::string missing_dir =
+      (std::filesystem::temp_directory_path() /
+       ("proof_no_such_dir_" + std::to_string(::getpid())) / "metrics.json")
+          .string();
+  for (const std::string& path : {missing_dir, std::string("/dev/full")}) {
+    if (path == "/dev/full" && !std::ifstream(path).good()) {
+      continue;  // no /dev/full on this system
+    }
+    try {
+      dump_self_profile(path);
+      ADD_FAILURE() << "dumping to " << path << " did not throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+    }
+  }
+}
+
 // Every metric name a PROOF_SPAN / PROOF_COUNT / PROOF_GAUGE_SET site under
-// src/ passes as a string literal needs a row in docs/METRICS.md.
+// src/ passes as a string literal needs a row in docs/METRICS.md, and the
+// serve.latency.<method> row names every daemon method.
 TEST(MetricsDoc, ListsEveryEmittedMetric) {
   const std::filesystem::path root =
       std::filesystem::path(PROOF_TEST_SOURCE_DIR).parent_path();
@@ -242,6 +265,14 @@ TEST(MetricsDoc, ListsEveryEmittedMetric) {
     }
   }
   EXPECT_GT(sites, 0u) << "no metric sites found under " << root / "src";
+
+  const size_t row = doc.find("| `serve.latency.<method>` |");
+  ASSERT_NE(row, std::string::npos) << "docs/METRICS.md has no serve.latency row";
+  const std::string line = doc.substr(row, doc.find('\n', row) - row);
+  for (const serve::Method& method : serve::kMethods) {
+    EXPECT_NE(line.find("`" + std::string(method.name) + "`"), std::string::npos)
+        << method.name << " is missing from: " << line;
+  }
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // End-to-end daemon tests over a real unix-domain socket: byte-identical
 // analyze responses against the frozen goldens, sweep_decode responses
-// against the in-process library, concurrent clients sharing
-// the process-wide caches, admission control, cooperative deadlines, graceful
-// drain, and the stats ledger.  Each gtest case runs in its own process
-// (gtest_discover_tests), so servers never share global singleton state with
-// other cases.  Runs under TSan via scripts/check_tsan.sh.
+// against the in-process library, concurrent clients sharing the
+// process-wide caches, heavy requests overlapping on the pool, admission
+// control, cooperative deadlines, graceful drain (also with an unwritable
+// PROOF_METRICS_OUT), and the stats ledger.  Each gtest case runs in its own
+// process (gtest_discover_tests), so servers never share global singleton
+// state with other cases.  Runs under TSan via scripts/check_tsan.sh.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -20,10 +21,12 @@
 #include "core/decode_sweep.hpp"
 #include "core/profiler.hpp"
 #include "core/sweep.hpp"
+#include "obs/metrics.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "support/json.hpp"
 #include "support/socket.hpp"
+#include "support/thread_pool.hpp"
 #include "test_util.hpp"
 
 #ifndef PROOF_TEST_SOURCE_DIR
@@ -390,7 +393,7 @@ TEST(ServeE2e, RequestCountersReconcile) {
   server.stop();
 }
 
-// The last two cases come after ConcurrentClientsShareCachesAndAllSucceed:
+// The remaining cases come after ConcurrentClientsShareCachesAndAllSucceed:
 // cases share one process under scripts/check_tsan.sh, and that case expects
 // the PrepCache ledger of its own requests only.
 
@@ -495,6 +498,107 @@ TEST(ServeE2e, SweepDecodeMatchesInProcess) {
   EXPECT_NE(bad.error_message.find("decode positions must be positive"), std::string::npos)
       << bad.error_message;
   server.stop();
+}
+
+// --- the method list and pool concurrency -------------------------------------
+
+TEST(ServeE2e, StatsTimesEveryHeavyMethod) {
+  serve::Server server = make_server();
+  server.start();
+  const serve::Response decode = call(
+      server.endpoint(),
+      R"({"id":1,"method":"sweep_decode","params":{"model":"gpt2","platform":"a100","batches":[1],"positions":[64]}})");
+  ASSERT_TRUE(decode.is_result()) << decode.error_code << ": " << decode.error_message;
+  const serve::Response optimize = call(
+      server.endpoint(),
+      R"({"id":2,"method":"optimize","params":{"model":"shufflenetv2_10","platform":"a100","max_rounds":1}})");
+  ASSERT_TRUE(optimize.is_result()) << optimize.error_code << ": " << optimize.error_message;
+
+  // The daemon's sweep drops non-positive batches as sweep_batches does.
+  const serve::Response bad = call(
+      server.endpoint(),
+      R"({"id":3,"method":"sweep","params":{"model":"shufflenetv2_10","platform":"a100","batches":[0,-4]}})");
+  ASSERT_TRUE(bad.is_error());
+  EXPECT_EQ(bad.error_code, 400);
+  EXPECT_NE(bad.error_message.find("no valid batch candidates"), std::string::npos)
+      << bad.error_message;
+
+#ifdef PROOF_OBS_DISABLED
+  GTEST_SKIP() << "instrumentation compiled out (PROOF_OBS=OFF)";
+#endif
+  if (!obs::enabled()) {
+    GTEST_SKIP() << "observability disabled in this environment";
+  }
+  const serve::Response stats = call(server.endpoint(), R"({"id":4,"method":"stats"})");
+  ASSERT_TRUE(stats.is_result());
+  const json::Value doc = json::parse(stats.payload);
+  const json::Value* endpoints = doc.find("endpoints");
+  ASSERT_NE(endpoints, nullptr);
+  for (const char* method : {"sweep_decode", "optimize", "sweep"}) {
+    const json::Value* row = endpoints->find(method);
+    ASSERT_NE(row, nullptr) << "stats endpoints lack " << method;
+    EXPECT_GE(row->get_int("count"), 1) << method;  // the registry is per process
+  }
+  server.stop();
+}
+
+TEST(ServeE2e, HeavyRequestsOverlapOnPoolWorkers) {
+  // At 4 jobs the pool has 3 workers, so three heavy requests run at once.
+  struct RestoreJobs {
+    unsigned jobs = ThreadPool::global().jobs();
+    ~RestoreJobs() { ThreadPool::set_global_jobs(jobs); }
+  } restore;
+  ThreadPool::set_global_jobs(4);
+  serve::Server server = make_server();
+  server.start();
+  // Untimed warm-up: the model load and the engine build stay out of the window.
+  ASSERT_TRUE(call(server.endpoint(),
+                   R"({"id":1,"method":"profile","params":{"model":"shufflenetv2_10","platform":"a100"}})")
+                  .is_result());
+
+  std::vector<net::Socket> sockets;
+  for (int i = 0; i < 3; ++i) {
+    sockets.push_back(net::connect(server.endpoint()));
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  for (net::Socket& socket : sockets) {
+    serve::write_frame(
+        socket,
+        R"({"id":2,"method":"profile","params":{"model":"shufflenetv2_10","platform":"a100","debug_sleep_ms":300}})");
+  }
+  for (net::Socket& socket : sockets) {
+    const std::optional<std::string> frame = serve::read_frame(socket);
+    ASSERT_TRUE(frame.has_value());
+    EXPECT_TRUE(serve::parse_response(*frame).is_result());
+  }
+  const double elapsed_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+          .count();
+  // Run one at a time, the three sleeps alone take 900 ms.
+  EXPECT_LT(elapsed_ms, 600.0);
+  server.stop();
+}
+
+TEST(ServeE2e, StopSurvivesAnUnwritableMetricsOut) {
+  const char* saved = std::getenv("PROOF_METRICS_OUT");
+  const std::string saved_value = saved != nullptr ? saved : "";
+  const std::string path =
+      "/tmp/proof_no_such_dir_" + std::to_string(::getpid()) + "/metrics.json";
+  ::setenv("PROOF_METRICS_OUT", path.c_str(), 1);
+
+  serve::Server server = make_server();
+  server.start();
+  ::testing::internal::CaptureStderr();
+  EXPECT_NO_THROW(server.stop());
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  const bool running = server.running();
+  if (saved != nullptr) {
+    ::setenv("PROOF_METRICS_OUT", saved_value.c_str(), 1);
+  } else {
+    ::unsetenv("PROOF_METRICS_OUT");
+  }
+  EXPECT_FALSE(running);
+  EXPECT_NE(err.find(path), std::string::npos) << err;
 }
 
 }  // namespace

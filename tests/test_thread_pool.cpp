@@ -1,5 +1,5 @@
 // Unit tests: the work-stealing thread pool (support/thread_pool.hpp) —
-// serial degradation, ordering, exception propagation, nested submission.
+// serial degradation, ordering, exception propagation, nested parallel_for.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -91,7 +91,7 @@ TEST(ThreadPool, ParallelForPropagatesException) {
 TEST(ThreadPool, SubmitPropagatesException) {
   ThreadPool pool(2);
   auto future = pool.submit([]() -> int { throw std::logic_error("task failed"); });
-  EXPECT_THROW((void)pool.wait(future), std::logic_error);
+  EXPECT_THROW((void)future.get(), std::logic_error);
 }
 
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
@@ -101,15 +101,6 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
     pool.parallel_for(8, [&](size_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 64);
-}
-
-TEST(ThreadPool, NestedSubmitWithWaitCompletes) {
-  ThreadPool pool(2);
-  auto outer = pool.submit([&] {
-    auto inner = pool.submit([] { return 7; });
-    return pool.wait(inner) + 1;
-  });
-  EXPECT_EQ(pool.wait(outer), 8);
 }
 
 TEST(ThreadPool, DefaultJobsReadsEnvironment) {
