@@ -3,14 +3,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
+cmake -B build
 cmake --build build
 ctest --test-dir build --output-on-failure
 
 echo
 echo "=== regenerating all tables and figures (artifacts -> proof_artifacts/) ==="
-for b in build/bench/*; do
-  [ -f "$b" ] && [ -x "$b" ] && "$b"
+# The bench list CMake wrote, not a glob: a build tree keeps the binaries of
+# benches deleted since it was first configured.
+for b in $(<build/bench/benches.txt); do
+  "build/bench/$b"
 done
 
 echo

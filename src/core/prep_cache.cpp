@@ -5,6 +5,7 @@
 #include <cstring>
 #include <functional>
 #include <future>
+#include <iterator>
 #include <list>
 #include <map>
 #include <mutex>
@@ -12,6 +13,7 @@
 #include <string_view>
 #include <tuple>
 #include <variant>
+#include <vector>
 
 #include "backends/prepare.hpp"
 #include "core/analysis_plan.hpp"
@@ -186,7 +188,7 @@ size_t env_capacity_or(const char* name, size_t fallback) {
   return fallback;
 }
 
-/// Default FIFO eviction bound (memory backstop); PROOF_PREP_CACHE_CAP
+/// Default LRU eviction bound (memory backstop); PROOF_PREP_CACHE_CAP
 /// overrides it at startup, set_capacity() at runtime.
 size_t env_capacity() { return env_capacity_or("PROOF_PREP_CACHE_CAP", 512); }
 
@@ -325,6 +327,69 @@ T get_entry(const std::shared_future<T>& future, bool in_flight) {
   return future.get();
 }
 
+/// One cache level: entries by key plus their recency order.  A hit moves
+/// its entry to the back of the order; eviction drops from the front, so the
+/// entries every request touches stay resident however old they are.  The
+/// caller holds the cache mutex for every member.
+template <typename Key, typename Value>
+struct LruLevel {
+  using Future = std::shared_future<std::shared_ptr<const Value>>;
+  struct Slot {
+    Future future;
+    typename std::list<Key>::iterator order;
+  };
+
+  explicit LruLevel(size_t capacity_in) : capacity(capacity_in) {}
+
+  /// The entry for `key`, now the most recently used; nullptr on a miss.
+  const Future* touch(const Key& key) {
+    const auto it = slots.find(key);
+    if (it == slots.end()) {
+      return nullptr;
+    }
+    order.splice(order.end(), order, it->second.order);
+    return &it->second.future;
+  }
+
+  /// Adds `key` (absent) as the most recently used entry.
+  void insert(const Key& key, Future future) {
+    order.push_back(key);
+    slots.emplace(key, Slot{std::move(future), std::prev(order.end())});
+  }
+
+  void erase(const Key& key) {
+    const auto it = slots.find(key);
+    if (it != slots.end()) {
+      order.erase(it->second.order);
+      slots.erase(it);
+    }
+  }
+
+  void clear() {
+    slots.clear();
+    order.clear();
+  }
+
+  /// Drops least recently used entries until the level fits its capacity and
+  /// returns them, so the caller destroys them after releasing the mutex.
+  /// An entry just inserted or touched is the most recently used and, with
+  /// any capacity >= 1, survives.
+  [[nodiscard]] std::vector<Future> evict_over_capacity() {
+    std::vector<Future> victims;
+    while (capacity != 0 && order.size() > capacity) {
+      const auto it = slots.find(order.front());
+      victims.push_back(std::move(it->second.future));
+      slots.erase(it);
+      order.pop_front();
+    }
+    return victims;
+  }
+
+  size_t capacity;  ///< 0 = unbounded
+  std::map<Key, Slot> slots;
+  std::list<Key> order;  ///< least recently used first
+};
+
 }  // namespace
 
 std::shared_ptr<const PreparedEngine> prepare_engine(
@@ -334,19 +399,33 @@ std::shared_ptr<const PreparedEngine> prepare_engine(
 }
 
 struct PrepCache::Impl {
+  /// Entries one eviction pass dropped; destroyed after `mu` is released.
+  struct Victims {
+    std::vector<std::shared_future<std::shared_ptr<const PreparedEngine>>> engines;
+    std::vector<std::shared_future<std::shared_ptr<const AnalysisPlan>>> plans;
+  };
+
+  /// Evicts each level down to its capacity and counts what went.  The
+  /// caller holds `mu`.
+  [[nodiscard]] Victims evict() {
+    Victims victims{engines.evict_over_capacity(), plans.evict_over_capacity()};
+    if (!victims.engines.empty()) {
+      stats.evictions += victims.engines.size();
+      PROOF_COUNT("prep_cache.evictions", victims.engines.size());
+    }
+    if (!victims.plans.empty()) {
+      stats.plan_cache_evictions += victims.plans.size();
+      PROOF_COUNT("plan_cache.evictions", victims.plans.size());
+    }
+    return victims;
+  }
+
   mutable std::mutex mu;
   bool enabled = env_enables_cache();
-  size_t capacity = env_capacity();
   PrepCacheStats stats;
-  std::map<EngineKey, std::shared_future<std::shared_ptr<const PreparedEngine>>>
-      engines;
-  std::list<EngineKey> engine_order;  ///< insertion order, for FIFO eviction
-
-  // AnalysisPlan level, keyed on the *structural* fingerprint.
-  size_t plan_capacity = env_plan_capacity();
-  std::map<PlanKey, std::shared_future<std::shared_ptr<const AnalysisPlan>>>
-      analysis_plans;
-  std::list<PlanKey> plan_order;  ///< insertion order, for FIFO eviction
+  LruLevel<EngineKey, PreparedEngine> engines{env_capacity()};
+  /// AnalysisPlan level, keyed on the *structural* fingerprint.
+  LruLevel<PlanKey, AnalysisPlan> plans{env_plan_capacity()};
 };
 
 PrepCache::PrepCache() : impl_(std::make_unique<Impl>()) {}
@@ -362,9 +441,7 @@ PrepCache& PrepCache::instance() {
 void PrepCache::clear() {
   std::lock_guard<std::mutex> lock(impl_->mu);
   impl_->engines.clear();
-  impl_->engine_order.clear();
-  impl_->analysis_plans.clear();
-  impl_->plan_order.clear();
+  impl_->plans.clear();
 }
 
 PrepCacheStats PrepCache::stats() const {
@@ -389,61 +466,36 @@ bool PrepCache::enabled() const {
 
 size_t PrepCache::size() const {
   std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->engines.size();
+  return impl_->engines.slots.size();
 }
 
 size_t PrepCache::capacity() const {
   std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->capacity;
+  return impl_->engines.capacity;
 }
 
 void PrepCache::set_capacity(size_t capacity) {
-  size_t evicted = 0;
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->capacity = capacity;
-    // Shrink immediately: drop the oldest ready entries until within bound.
-    while (impl_->capacity != 0 &&
-           impl_->engine_order.size() > impl_->capacity) {
-      const EngineKey victim = impl_->engine_order.front();
-      impl_->engine_order.pop_front();
-      impl_->engines.erase(victim);
-      ++impl_->stats.evictions;
-      ++evicted;
-    }
-  }
-  if (evicted > 0) {
-    PROOF_COUNT("prep_cache.evictions", evicted);
-  }
+  Impl::Victims victims;  // declared before the lock: destroyed after it
+  std::lock_guard<std::mutex> lock(impl_->mu);
+  impl_->engines.capacity = capacity;
+  victims = impl_->evict();
 }
 
 size_t PrepCache::plan_cache_size() const {
   std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->analysis_plans.size();
+  return impl_->plans.slots.size();
 }
 
 size_t PrepCache::plan_cache_capacity() const {
   std::lock_guard<std::mutex> lock(impl_->mu);
-  return impl_->plan_capacity;
+  return impl_->plans.capacity;
 }
 
 void PrepCache::set_plan_cache_capacity(size_t capacity) {
-  size_t evicted = 0;
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->plan_capacity = capacity;
-    while (impl_->plan_capacity != 0 &&
-           impl_->plan_order.size() > impl_->plan_capacity) {
-      const PlanKey victim = impl_->plan_order.front();
-      impl_->plan_order.pop_front();
-      impl_->analysis_plans.erase(victim);
-      ++impl_->stats.plan_cache_evictions;
-      ++evicted;
-    }
-  }
-  if (evicted > 0) {
-    PROOF_COUNT("plan_cache.evictions", evicted);
-  }
+  Impl::Victims victims;  // declared before the lock: destroyed after it
+  std::lock_guard<std::mutex> lock(impl_->mu);
+  impl_->plans.capacity = capacity;
+  victims = impl_->evict();
 }
 
 std::shared_ptr<const PreparedEngine> PrepCache::get_or_prepare(
@@ -480,64 +532,34 @@ std::shared_ptr<const PreparedEngine> PrepCache::get_or_prepare(
     // builder's future — a concurrently sampled stats snapshot (the serve
     // daemon's `stats` endpoint) would otherwise read lookups > hits + misses
     // for the whole duration of a build.
+    Impl::Victims victims;  // declared before the lock: destroyed after it
     std::lock_guard<std::mutex> lock(impl_->mu);
     PROOF_COUNT("prep_cache.lookups", 1);
-    const auto it = impl_->engines.find(ekey);
-    if (it != impl_->engines.end()) {
+    if (const auto* hit = impl_->engines.touch(ekey)) {
       ++impl_->stats.engine_hits;
       PROOF_COUNT("prep_cache.hits", 1);
-      ready = it->second;
+      ready = *hit;
       is_hit = true;
       in_flight = !is_ready(ready);
     } else {
       ++impl_->stats.engine_misses;
       PROOF_COUNT("prep_cache.misses", 1);
-      ready = impl_->engines.emplace(ekey, engine_promise.get_future().share())
-                  .first->second;
-      impl_->engine_order.push_back(ekey);
+      ready = engine_promise.get_future().share();
+      impl_->engines.insert(ekey, ready);
       // AnalysisPlan level: structural-fingerprint keyed, shared across batch
       // sizes and decode positions.
-      const auto ait = impl_->analysis_plans.find(skey);
-      if (ait != impl_->analysis_plans.end()) {
+      if (const auto* plan = impl_->plans.touch(skey)) {
         ++impl_->stats.plan_cache_hits;
         PROOF_COUNT("plan_cache.hits", 1);
-        aplan_future = ait->second;
+        aplan_future = *plan;
         in_flight = !is_ready(aplan_future);
       } else {
         ++impl_->stats.plan_cache_misses;
         PROOF_COUNT("plan_cache.misses", 1);
         aplan_promise.emplace();
-        impl_->analysis_plans.emplace(skey, aplan_promise->get_future().share());
-        impl_->plan_order.push_back(skey);
-        // FIFO memory backstop; never evict the plan just inserted.
-        while (impl_->plan_capacity != 0 &&
-               impl_->plan_order.size() > impl_->plan_capacity) {
-          const PlanKey victim = impl_->plan_order.front();
-          impl_->plan_order.pop_front();
-          if (!(victim == skey)) {
-            impl_->analysis_plans.erase(victim);
-            ++impl_->stats.plan_cache_evictions;
-            PROOF_COUNT("plan_cache.evictions", 1);
-          } else {
-            impl_->plan_order.push_back(victim);
-            break;
-          }
-        }
+        impl_->plans.insert(skey, aplan_promise->get_future().share());
       }
-      // FIFO memory backstop; never evict the entry just inserted.
-      while (impl_->capacity != 0 &&
-             impl_->engine_order.size() > impl_->capacity) {
-        const EngineKey victim = impl_->engine_order.front();
-        impl_->engine_order.pop_front();
-        if (!(victim == ekey)) {
-          impl_->engines.erase(victim);
-          ++impl_->stats.evictions;
-          PROOF_COUNT("prep_cache.evictions", 1);
-        } else {
-          impl_->engine_order.push_back(victim);
-          break;
-        }
-      }
+      victims = impl_->evict();
     }
     if (in_flight) {
       ++impl_->stats.in_flight_waits;
@@ -604,10 +626,8 @@ std::shared_ptr<const PreparedEngine> PrepCache::get_or_prepare(
     {
       std::lock_guard<std::mutex> lock(impl_->mu);
       impl_->engines.erase(ekey);
-      impl_->engine_order.remove(ekey);
       if (aplan_promise.has_value()) {
-        impl_->analysis_plans.erase(skey);
-        impl_->plan_order.remove(skey);
+        impl_->plans.erase(skey);
       }
     }
     throw;

@@ -93,7 +93,7 @@ class PreparedEngine {
 struct PrepCacheStats {
   size_t engine_hits = 0;    ///< full (a)-(d) skipped
   size_t engine_misses = 0;
-  size_t evictions = 0;      ///< entries dropped by the FIFO memory backstop
+  size_t evictions = 0;      ///< least recently used entries dropped at capacity
   /// Hits (engine, or plan on an engine miss) that found the entry still
   /// being built by another caller and blocked on it.
   size_t in_flight_waits = 0;
@@ -102,7 +102,7 @@ struct PrepCacheStats {
   // misses only.
   size_t plan_cache_hits = 0;        ///< frozen plan instantiated per cell
   size_t plan_cache_misses = 0;      ///< full structure phase built + frozen
-  size_t plan_cache_evictions = 0;   ///< plans dropped by the FIFO backstop
+  size_t plan_cache_evictions = 0;   ///< least recently used plans dropped
   size_t plan_cache_collisions = 0;  ///< fingerprint hit, verification failed
   uint64_t plan_cache_build_ns = 0;  ///< cumulative structure-phase build time
 
@@ -169,18 +169,20 @@ class PrepCache {
   /// Ready engine-level entries cached right now.
   [[nodiscard]] size_t size() const;
 
-  /// FIFO eviction bound on engine-level entries (0 = unbounded).  Initial
-  /// value comes from PROOF_PREP_CACHE_CAP (default 512).  Long-running
-  /// daemons tune this to bound resident memory; shrinking evicts the oldest
-  /// entries immediately.
+  /// Bound on engine-level entries (0 = unbounded).  Initial value comes
+  /// from PROOF_PREP_CACHE_CAP (default 512).  Long-running daemons tune this
+  /// to bound resident memory.  A hit marks its entry most recently used; a
+  /// miss past the bound, or shrinking it, evicts the least recently used
+  /// entries immediately, and they are destroyed outside the cache's lock.
   [[nodiscard]] size_t capacity() const;
   void set_capacity(size_t capacity);
 
   /// Ready AnalysisPlans cached right now.
   [[nodiscard]] size_t plan_cache_size() const;
 
-  /// FIFO eviction bound on AnalysisPlans (0 = unbounded).  Initial value
-  /// comes from PROOF_PLAN_CACHE_CAP (default 128).
+  /// Bound on AnalysisPlans (0 = unbounded), evicting least recently used
+  /// first like the engine level; a plan hit on an engine miss counts as a
+  /// use.  Initial value comes from PROOF_PLAN_CACHE_CAP (default 128).
   [[nodiscard]] size_t plan_cache_capacity() const;
   void set_plan_cache_capacity(size_t capacity);
 

@@ -5,21 +5,19 @@
 // length-prefixed JSON protocol (serve/protocol.hpp).  Request execution
 // rides the existing machinery instead of duplicating it:
 //
-//  * heavy requests (profile / analyze / sweep / sweep_decode / optimize) are
-//    submitted to the global work-stealing ThreadPool and nested sweep
-//    fan-outs compose with it.  At --jobs N >= 2 they run on the pool's N-1
-//    workers, so at most N-1 execute at once and other admitted requests
-//    queue; at --jobs 1 the serial pool runs each inline on its session
-//    thread;
+//  * heavy requests (profile / analyze / sweep / sweep_decode / optimize) run
+//    on the session thread that read them, so every admitted request
+//    executes at once; the fan-out inside one request (sweep_decode,
+//    optimize) runs on the global work-stealing ThreadPool's lanes;
 //  * all requests share the process-wide PrepCache and one interned-graph
 //    ModelPool, so the expensive artifacts (prepared engines, fusion plans,
 //    mappings, warmed graph indices) are paid once per process and amortized
 //    across all traffic — the daemon-shaped answer to per-invocation CLI
 //    startup cost;
 //  * admission control bounds the work in the building: at most
-//    `max_inflight` heavy requests are admitted (executing or queued); the
-//    excess is rejected immediately with a typed 429-style error instead of
-//    queueing unboundedly or hanging;
+//    `max_inflight` heavy requests are admitted, and all of them execute;
+//    the excess is rejected immediately with a typed 429-style error instead
+//    of queueing unboundedly or hanging;
 //  * per-request deadlines cancel cooperatively between sweep points — never
 //    mid-build, so a cancelled request can not poison the shared caches;
 //  * graceful shutdown (SIGINT/SIGTERM or the `shutdown` method) stops
@@ -50,9 +48,8 @@ struct ServerOptions {
   /// "unix:/path/to.sock" or "host:port" (port 0 = ephemeral, reported by
   /// Server::endpoint() after start()).
   std::string listen = "127.0.0.1:0";
-  /// Max heavy requests admitted at once (executing or queued on the pool:
-  /// at most jobs-1 execute when jobs >= 2); 0 = 2x the global thread pool's
-  /// parallelism.
+  /// Max heavy requests admitted, and so executing, at once; 0 = 2x the
+  /// global thread pool's parallelism.
   unsigned max_inflight = 0;
   /// Applied when a request carries no deadline_ms of its own; 0 = none.
   double default_deadline_s = 0.0;

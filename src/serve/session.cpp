@@ -1,8 +1,6 @@
 #include "serve/session.hpp"
 
 #include <chrono>
-#include <exception>
-#include <future>
 #include <thread>
 #include <utility>
 
@@ -15,7 +13,6 @@
 #include "opt/optimizer.hpp"
 #include "obs/span.hpp"
 #include "serve/server.hpp"
-#include "support/thread_pool.hpp"
 #include "tensor/dtype.hpp"
 
 namespace proof::serve {
@@ -112,7 +109,9 @@ ProfileOptions options_from_params(const json::Value& p) {
   }
   opt.backend_id = p.get_string("backend");
   opt.batch = p.get_int("batch", 1);
-  PROOF_CHECK(opt.batch > 0, "batch must be positive, got " << opt.batch);
+  if (opt.batch <= 0) {
+    throw ConfigError("batch must be positive, got " + std::to_string(opt.batch));
+  }
   // The service default is the analytical path ("negligible cost", §4.2);
   // counter replay is opt-in per request.
   const std::string mode = p.get_string("mode", "predicted");
@@ -134,7 +133,9 @@ ProfileOptions options_from_params(const json::Value& p) {
   }
   if (const json::Value* iters = p.find("iterations")) {
     opt.iterations = static_cast<int>(iters->as_int(50));
-    PROOF_CHECK(opt.iterations > 0, "iterations must be positive");
+    if (opt.iterations <= 0) {
+      throw ConfigError("iterations must be positive");
+    }
   }
   return opt;
 }
@@ -301,45 +302,32 @@ bool Session::execute_heavy(const Request& request) {
                              server_.options().default_deadline_s * 1e3);
   const Deadline deadline(deadline_ms / 1e3);
 
+  // Admission is released before the response is sent, so a client that
+  // reads its answer and sends again never finds its own slot still taken.
+  std::string response;
   bool ok = false;
   try {
-    // Execution rides the shared work-stealing pool; this reader thread is
-    // not a pool participant, so a plain future wait cannot deadlock.  The
-    // task returns its exception inside its value and get() moves it out, so
-    // this thread holds the last reference and destroys it; a worker dropping
-    // it through libstdc++'s uninstrumented refcount raced under TSan.
-    using Outcome = std::pair<std::string, std::exception_ptr>;
-    std::future<Outcome> future =
-        ThreadPool::global().submit([&]() -> Outcome {
-          try {
-            return {execute(request, deadline), nullptr};
-          } catch (...) {
-            return {std::string(), std::current_exception()};
-          }
-        });
-    Outcome outcome = future.get();
-    if (outcome.second) {
-      std::rethrow_exception(std::move(outcome.second));
-    }
-    server_.release_admission();
-    set_inflight_gauge(server_.inflight_.load());
-    send_payload(make_result(request.id, outcome.first));
-    return true;
+    // Runs on this session thread; the pool's lanes serve only the fan-out
+    // inside the request (sweep_decode, optimize), so admission alone bounds
+    // how many heavy requests execute at once.
+    response = make_result(request.id, execute(request, deadline));
+    ok = true;
   } catch (const DeadlineExceeded& e) {
     server_.deadline_exceeded_.fetch_add(1);
     count_metric("serve.deadline_exceeded");
-    send_payload(make_error(request.id, ErrorCode::kDeadlineExceeded, e.what()));
+    response = make_error(request.id, ErrorCode::kDeadlineExceeded, e.what());
   } catch (const ConfigError& e) {
-    send_payload(make_error(request.id, ErrorCode::kBadRequest, e.what()));
+    response = make_error(request.id, ErrorCode::kBadRequest, e.what());
   } catch (const ModelError& e) {
-    send_payload(make_error(request.id, ErrorCode::kBadRequest, e.what()));
+    response = make_error(request.id, ErrorCode::kBadRequest, e.what());
   } catch (const Error& e) {
-    send_payload(make_error(request.id, ErrorCode::kInternal, e.what()));
+    response = make_error(request.id, ErrorCode::kInternal, e.what());
   } catch (const std::exception& e) {
-    send_payload(make_error(request.id, ErrorCode::kInternal, e.what()));
+    response = make_error(request.id, ErrorCode::kInternal, e.what());
   }
   server_.release_admission();
   set_inflight_gauge(server_.inflight_.load());
+  send_payload(response);
   return ok;
 }
 
@@ -398,12 +386,15 @@ std::string Session::do_sweep(const Request& request, const Deadline& deadline) 
   const std::string model_id = require_string(p, "model");
   const ProfileOptions base = options_from_params(p);
   const double knee_tolerance = p.get_double("knee_tolerance", 0.05);
-  PROOF_CHECK(knee_tolerance >= 0.0 && knee_tolerance < 1.0,
-              "knee_tolerance must be in [0, 1)");
+  if (!(knee_tolerance >= 0.0 && knee_tolerance < 1.0)) {
+    throw ConfigError("knee_tolerance must be in [0, 1)");
+  }
 
   std::vector<int64_t> requested;
   if (const json::Value* list = p.find("batches")) {
-    PROOF_CHECK(list->is_array(), "\"batches\" must be an array of integers");
+    if (!list->is_array()) {
+      throw ConfigError("\"batches\" must be an array of integers");
+    }
     for (const json::Value& v : list->array) {
       requested.push_back(v.as_int());
     }
@@ -461,15 +452,19 @@ std::string Session::do_sweep_decode(const Request& request,
     options.dtype = dtype_from_name(dtype);
   }
   options.prefill_len = p.get_int("prefill_len", options.prefill_len);
-  PROOF_CHECK(options.prefill_len > 0, "prefill_len must be positive, got "
-                                           << options.prefill_len);
+  if (options.prefill_len <= 0) {
+    throw ConfigError("prefill_len must be positive, got " +
+                      std::to_string(options.prefill_len));
+  }
   const auto int_array = [&p](const char* key, std::vector<int64_t>& out) {
     const json::Value* list = p.find(key);
     if (list == nullptr) {
       return;
     }
-    PROOF_CHECK(list->is_array(),
-                "\"" << key << "\" must be an array of integers");
+    if (!list->is_array()) {
+      throw ConfigError(std::string("\"") + key +
+                        "\" must be an array of integers");
+    }
     out.clear();
     for (const json::Value& v : list->array) {
       out.push_back(v.as_int());
@@ -482,7 +477,7 @@ std::string Session::do_sweep_decode(const Request& request,
 
   // Empty or "all" platform: the cross-platform decode-bound-ness summary.
   // Both calls throw ConfigError for a bad grid or config (a typed 400) and
-  // ride the shared ThreadPool + PrepCache like every other heavy request.
+  // fan their cells out on the shared ThreadPool's lanes.
   if (options.platform_id.empty() || options.platform_id == "all") {
     options.platform_id.clear();
     return decode_platforms_json(sweep_decode_platforms(options));
@@ -502,14 +497,17 @@ std::string Session::do_optimize(const Request& request,
     options.objective = opt::objective_from_name(objective);
   }
   options.power_budget_w = p.get_double("power_budget_w", 0.0);
-  PROOF_CHECK(options.power_budget_w >= 0.0,
-              "power_budget_w must be non-negative");
+  if (!(options.power_budget_w >= 0.0)) {
+    throw ConfigError("power_budget_w must be non-negative");
+  }
   options.noise_threshold = p.get_double("noise_threshold", 0.02);
-  PROOF_CHECK(
-      options.noise_threshold >= 0.0 && options.noise_threshold < 1.0,
-      "noise_threshold must be in [0, 1)");
+  if (!(options.noise_threshold >= 0.0 && options.noise_threshold < 1.0)) {
+    throw ConfigError("noise_threshold must be in [0, 1)");
+  }
   options.max_rounds = static_cast<int>(p.get_int("max_rounds", 4));
-  PROOF_CHECK(options.max_rounds >= 0, "max_rounds must be non-negative");
+  if (options.max_rounds < 0) {
+    throw ConfigError("max_rounds must be non-negative");
+  }
   const std::string axes = p.get_string("axes");
   if (!axes.empty()) {
     options.axes = opt::axes_from_string(axes);

@@ -1,14 +1,12 @@
 // One accepted connection of the serve daemon.
 //
-// A Session owns its socket and a dedicated reader thread running run():
-// read frame -> parse request -> dispatch -> write response frame(s).  The
-// connection handles one request at a time (no pipelining); heavy requests
-// are executed as tasks on the global ThreadPool while the session thread
-// waits, so streaming progress frames (sweep points as they complete) can be
-// written from the executing task without racing the reader.  At --jobs
-// N >= 2 those tasks run on the pool's N-1 workers, so at most N-1 heavy
-// requests execute at once and other admitted ones queue; at --jobs 1 the
-// serial pool runs each task inline on its own session thread.
+// A Session owns its socket and a dedicated thread running run(): read
+// frame -> parse request -> dispatch -> execute -> write response frame(s).
+// The connection handles one request at a time (no pipelining), and a heavy
+// request executes on the session thread that read it, streaming progress
+// frames (sweep points as they complete) as it goes.  So every admitted heavy
+// request runs at once, at any --jobs; the global ThreadPool's lanes serve
+// the fan-out inside a request (sweep_decode, optimize).
 //
 // Error discipline: malformed payloads produce a typed error response and
 // the connection stays usable; framing violations (oversized prefix,
@@ -30,8 +28,8 @@ namespace proof::serve {
 
 class Server;
 
-/// One serve-protocol method.  Heavy methods are admission-gated and run on
-/// the ThreadPool; the others are answered inline on the session thread.
+/// One serve-protocol method.  Every method runs on its session thread;
+/// heavy ones are admission-gated and carry a deadline.
 struct Method {
   std::string_view name;
   bool heavy;
@@ -97,16 +95,16 @@ class Session {
   void run();
   void handle(const Request& request);
 
-  /// Admission control + pool submission + typed error mapping for the
-  /// heavy methods.  Returns true when a result was sent.
+  /// Admission control + execution + typed error mapping for the heavy
+  /// methods.  Returns true when a result was sent.
   bool execute_heavy(const Request& request);
 
-  /// Runs inside the pool task; returns the raw result JSON to splice into
-  /// the envelope.  Streams sweep progress frames via send_payload.
+  /// Returns the raw result JSON to splice into the envelope.  Streams sweep
+  /// progress frames via send_payload.
   [[nodiscard]] std::string execute(const Request& request,
                                     const Deadline& deadline);
 
-  // Method handlers (run inside the pool task).
+  // Method handlers.
   [[nodiscard]] std::string do_profile(const Request& request,
                                        const Deadline& deadline,
                                        bool full_report);

@@ -1,7 +1,9 @@
 #include "support/thread_pool.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <exception>
 #include <mutex>
 #include <string>
 

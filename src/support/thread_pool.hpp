@@ -2,10 +2,12 @@
 //
 // The analytical path is the hot loop of large profiling campaigns (model x
 // batch x precision x clock matrices), so the pool is tuned for coarse,
-// CPU-bound, exception-throwing tasks rather than microsecond latency:
+// CPU-bound, exception-throwing tasks rather than microsecond latency.  Its
+// lanes serve the fan-out inside one unit of work (a sweep, an optimize
+// round); independent units, such as the serve daemon's requests, run on
+// their own threads and fan out through the same pool:
 //  * per-worker deques with FIFO stealing; an idle worker steals from its
 //    neighbours before sleeping;
-//  * `submit` returns a std::future that propagates exceptions;
 //  * `parallel_for` runs the calling thread as one of the workers, so nested
 //    parallel sections can never deadlock (a pool of zero workers degrades to
 //    plain serial execution);
@@ -22,10 +24,10 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace proof {
@@ -47,18 +49,6 @@ class ThreadPool {
   /// Number of spawned worker threads (jobs() - 1, or 0 for a serial pool).
   [[nodiscard]] unsigned worker_count() const {
     return static_cast<unsigned>(workers_.size());
-  }
-
-  /// Schedules `fn` and returns its future.  On a serial pool the task runs
-  /// inline before `submit` returns.  Block on the future only outside the
-  /// pool: a pool task waiting on a queued task can deadlock it (nested work
-  /// belongs in `parallel_for`, whose caller helps drain).
-  template <typename F, typename R = std::invoke_result_t<F>>
-  std::future<R> submit(F&& fn) {
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> future = task->get_future();
-    enqueue([task] { (*task)(); });
-    return future;
   }
 
   /// Runs `body(i)` for every i in [0, n).  The caller participates, workers

@@ -481,6 +481,37 @@ TEST(PlanCache, CapacityBoundsPlansAndShrinksEagerly) {
   PrepCache::instance().set_plan_cache_capacity(original);
 }
 
+TEST(PlanCache, EvictsTheLeastRecentlyUsedPlan) {
+  reset_cache(true);
+  const backends::Backend& backend =
+      backends::BackendRegistry::instance().get("trt_sim");
+  const hw::PlatformDesc& platform =
+      hw::PlatformRegistry::instance().get("a100");
+  const Graph cnn = proof::testing::small_cnn();
+  const Graph transformer = proof::testing::small_transformer();
+  const auto get = [&](const Graph& model, DType dtype, int64_t batch) {
+    (void)PrepCache::instance().get_or_prepare(model, backend, platform,
+                                               {dtype, batch});
+  };
+
+  const size_t original = PrepCache::instance().plan_cache_capacity();
+  PrepCache::instance().set_plan_cache_capacity(2);
+  get(cnn, DType::kF16, 1);
+  get(transformer, DType::kF16, 1);
+  // An engine miss at a new batch hits the cnn plan and makes it the newest use.
+  get(cnn, DType::kF16, 2);
+  EXPECT_EQ(PrepCache::instance().stats().plan_cache_hits, 1u);
+  // A third plan evicts the transformer's, not the older cnn one.
+  get(cnn, DType::kF32, 1);
+  EXPECT_EQ(PrepCache::instance().stats().plan_cache_evictions, 1u);
+  get(cnn, DType::kF16, 3);
+  EXPECT_EQ(PrepCache::instance().stats().plan_cache_hits, 2u);
+  EXPECT_EQ(PrepCache::instance().stats().plan_cache_misses, 3u);
+  get(transformer, DType::kF16, 2);
+  EXPECT_EQ(PrepCache::instance().stats().plan_cache_misses, 4u);
+  PrepCache::instance().set_plan_cache_capacity(original);
+}
+
 TEST(PlanCache, ClearDropsPlansButKeepsStats) {
   reset_cache(true);
   const Graph model = proof::testing::small_cnn();

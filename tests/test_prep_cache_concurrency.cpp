@@ -148,14 +148,14 @@ TEST(PrepCache, CapacityBoundsResidencyAndShrinksEagerly) {
   for (int64_t batch = 1; batch <= 8; ++batch) {
     const backends::BuildConfig config{DType::kF16, batch};
     (void)PrepCache::instance().get_or_prepare(model, backend, platform, config);
-    // FIFO never evicts the entry just inserted.
+    // Eviction never drops the entry just inserted: the repeat is a hit.
     const backends::BuildConfig again{DType::kF16, batch};
     (void)PrepCache::instance().get_or_prepare(model, backend, platform, again);
   }
   EXPECT_EQ(PrepCache::instance().size(), 4u);
   EXPECT_EQ(PrepCache::instance().stats().evictions, 4u);
 
-  // Shrinking drops the oldest entries immediately.
+  // Shrinking drops the least recently used entries immediately.
   PrepCache::instance().set_capacity(2);
   EXPECT_EQ(PrepCache::instance().size(), 2u);
   EXPECT_EQ(PrepCache::instance().stats().evictions, 6u);
@@ -167,6 +167,32 @@ TEST(PrepCache, CapacityBoundsResidencyAndShrinksEagerly) {
     (void)PrepCache::instance().get_or_prepare(model, backend, platform, config);
   }
   EXPECT_EQ(PrepCache::instance().size(), 8u);
+  PrepCache::instance().set_capacity(original);
+}
+
+TEST(PrepCache, EvictsTheLeastRecentlyUsedEngine) {
+  reset_state();
+  const Graph model = proof::testing::small_cnn();
+  const backends::Backend& backend =
+      backends::BackendRegistry::instance().get("trt_sim");
+  const hw::PlatformDesc& platform = hw::PlatformRegistry::instance().get("a100");
+  const auto get = [&](int64_t batch) {
+    return PrepCache::instance().get_or_prepare(model, backend, platform,
+                                                {DType::kF16, batch});
+  };
+
+  const size_t original = PrepCache::instance().capacity();
+  PrepCache::instance().set_capacity(2);
+  const std::shared_ptr<const PreparedEngine> first = get(1);
+  (void)get(2);
+  EXPECT_EQ(get(1).get(), first.get());  // the hit makes batch 1 the newest use
+  (void)get(3);                          // evicts batch 2, not the older batch 1
+  const PrepCacheStats before = PrepCache::instance().stats();
+  EXPECT_EQ(before.evictions, 1u);
+  EXPECT_EQ(get(1).get(), first.get());
+  EXPECT_EQ(PrepCache::instance().stats().engine_hits, before.engine_hits + 1);
+  (void)get(2);
+  EXPECT_EQ(PrepCache::instance().stats().engine_misses, before.engine_misses + 1);
   PrepCache::instance().set_capacity(original);
 }
 

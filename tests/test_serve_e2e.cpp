@@ -1,11 +1,12 @@
 // End-to-end daemon tests over a real unix-domain socket: byte-identical
 // analyze responses against the frozen goldens, sweep_decode responses
 // against the in-process library, concurrent clients sharing the
-// process-wide caches, heavy requests overlapping on the pool, admission
-// control, cooperative deadlines, graceful drain (also with an unwritable
-// PROOF_METRICS_OUT), and the stats ledger.  Each gtest case runs in its own
-// process (gtest_discover_tests), so servers never share global singleton
-// state with other cases.  Runs under TSan via scripts/check_tsan.sh.
+// process-wide caches, typed 400s for bad params, every admitted heavy
+// request running at once, admission control, cooperative deadlines,
+// graceful drain (also with an unwritable PROOF_METRICS_OUT), and the stats
+// ledger.  Each gtest case runs in its own process (gtest_discover_tests), so
+// servers never share global singleton state with other cases.  Runs under
+// TSan via scripts/check_tsan.sh.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -213,6 +214,22 @@ TEST(ServeE2e, ConcurrentClientsShareCachesAndAllSucceed) {
   EXPECT_EQ(cache->get_int("engine_hits"), 3);
   EXPECT_EQ(cache->get_int("engine_lookups"),
             cache->get_int("engine_hits") + cache->get_int("engine_misses"));
+  server.stop();
+}
+
+TEST(ServeE2e, BadParamsGetA400WithoutASourceLocation) {
+  serve::Server server = make_server();
+  server.start();
+  for (const char* payload : {
+           R"({"id":1,"method":"profile","params":{"model":"resnet18","platform":"a100","batch":0}})",
+           R"({"id":2,"method":"sweep","params":{"model":"resnet18","platform":"a100","batches":3}})",
+       }) {
+    const serve::Response response = call(server.endpoint(), payload);
+    ASSERT_TRUE(response.is_error()) << payload;
+    EXPECT_EQ(response.error_code, 400) << response.error_message;
+    EXPECT_EQ(response.error_message.find("check failed at"), std::string::npos)
+        << response.error_message;
+  }
   server.stop();
 }
 
@@ -500,7 +517,7 @@ TEST(ServeE2e, SweepDecodeMatchesInProcess) {
   server.stop();
 }
 
-// --- the method list and pool concurrency -------------------------------------
+// --- the method list and request concurrency ----------------------------------
 
 TEST(ServeE2e, StatsTimesEveryHeavyMethod) {
   serve::Server server = make_server();
@@ -542,22 +559,24 @@ TEST(ServeE2e, StatsTimesEveryHeavyMethod) {
   server.stop();
 }
 
-TEST(ServeE2e, HeavyRequestsOverlapOnPoolWorkers) {
-  // At 4 jobs the pool has 3 workers, so three heavy requests run at once.
+TEST(ServeE2e, EveryAdmittedRequestRunsAtOnce) {
+  // At 2 jobs the default max_inflight is 4, and each admitted request runs
+  // on its own session thread, not on the pool's single worker.
   struct RestoreJobs {
     unsigned jobs = ThreadPool::global().jobs();
     ~RestoreJobs() { ThreadPool::set_global_jobs(jobs); }
   } restore;
-  ThreadPool::set_global_jobs(4);
+  ThreadPool::set_global_jobs(2);
   serve::Server server = make_server();
   server.start();
+  ASSERT_EQ(server.max_inflight(), 4u);
   // Untimed warm-up: the model load and the engine build stay out of the window.
   ASSERT_TRUE(call(server.endpoint(),
                    R"({"id":1,"method":"profile","params":{"model":"shufflenetv2_10","platform":"a100"}})")
                   .is_result());
 
   std::vector<net::Socket> sockets;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 4; ++i) {
     sockets.push_back(net::connect(server.endpoint()));
   }
   const auto t0 = std::chrono::steady_clock::now();
@@ -574,7 +593,7 @@ TEST(ServeE2e, HeavyRequestsOverlapOnPoolWorkers) {
   const double elapsed_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
           .count();
-  // Run one at a time, the three sleeps alone take 900 ms.
+  // Run one at a time, the four sleeps alone take 1200 ms; two at a time, 600.
   EXPECT_LT(elapsed_ms, 600.0);
   server.stop();
 }

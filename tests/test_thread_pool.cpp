@@ -8,6 +8,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "support/error.hpp"
@@ -20,14 +21,11 @@ TEST(ThreadPool, SerialPoolRunsInline) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.jobs(), 1u);
   EXPECT_EQ(pool.worker_count(), 0u);
-  bool ran = false;
-  auto future = pool.submit([&] {
-    ran = true;
-    return 42;
-  });
-  // Serial pools execute at submit time.
-  EXPECT_TRUE(ran);
-  EXPECT_EQ(future.get(), 42);
+  // Serial pools run every iteration on the calling thread.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on;
+  pool.parallel_for(3, [&](size_t) { ran_on.push_back(std::this_thread::get_id()); });
+  EXPECT_EQ(ran_on, std::vector<std::thread::id>(3, caller));
 }
 
 TEST(ThreadPool, ZeroJobsClampsToSerial) {
@@ -86,12 +84,6 @@ TEST(ThreadPool, ParallelForPropagatesException) {
     pool.parallel_for(8, [&](size_t) { done.fetch_add(1); });
     EXPECT_EQ(done.load(), 8);
   }
-}
-
-TEST(ThreadPool, SubmitPropagatesException) {
-  ThreadPool pool(2);
-  auto future = pool.submit([]() -> int { throw std::logic_error("task failed"); });
-  EXPECT_THROW((void)future.get(), std::logic_error);
 }
 
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
