@@ -22,8 +22,7 @@ int main() {
 
     // Naive: Equation 1 summed over UNFUSED model operators.
     Graph g = models::build_model(id);
-    set_batch_size(g, opt.batch);
-    convert_float_dtype(g, opt.dtype);
+    specialize_graph(g, opt.batch, opt.dtype);
     const AnalyzeRepresentation ar(g);
     const double naive = ar.total_memory().total();
 

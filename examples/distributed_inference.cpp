@@ -20,8 +20,7 @@ int main(int argc, char** argv) {
 
   // Device memory pressure motivates splitting in the first place.
   Graph deployed = model;
-  set_batch_size(deployed, opt.batch);
-  convert_float_dtype(deployed, opt.dtype);
+  specialize_graph(deployed, opt.batch, opt.dtype);
   const MemoryFootprint fp = memory_footprint(deployed);
   std::cout << "model: " << model.name() << "  weights "
             << units::megabytes(fp.weight_bytes) << ", peak activations "

@@ -30,10 +30,11 @@ class AnalyzeRepresentation {
   explicit AnalyzeRepresentation(Graph graph);
 
   /// Tag for graphs the caller guarantees are already validated and
-  /// shape-inferred (plan-cache instantiations replay a previously validated
-  /// skeleton through one infer_shapes pass); skips both, shares the frozen
-  /// graph (typically the engine's) instead of copying it, and only runs the
-  /// per-node analysis.
+  /// shape-inferred; skips both, shares the frozen graph instead of copying
+  /// it, and only runs the per-node analysis.  Both prepared paths use it
+  /// over the engine's graph: a full build (prepare_model validated and
+  /// inferred it) and a plan-cache instantiation (one infer_shapes pass over
+  /// a clone of a previously validated skeleton).
   struct TrustedGraphTag {};
   AnalyzeRepresentation(std::shared_ptr<const Graph> graph, TrustedGraphTag tag);
 

@@ -34,7 +34,11 @@ void infer_shapes(Graph& graph) {
   }
 }
 
-void set_batch_size(Graph& graph, int64_t batch) {
+namespace {
+
+/// set_batch_size's rewrite without the inference pass: dim 0 of every graph
+/// input, plus "shape"/"sizes" attrs whose dim 0 carries the old batch.
+void rewrite_batch(Graph& graph, int64_t batch) {
   PROOF_CHECK(batch > 0, "batch must be positive, got " << batch);
   PROOF_CHECK(!graph.inputs().empty(), "graph has no inputs");
   const int64_t old_batch = graph.tensor(graph.inputs()[0]).shape.dim(0);
@@ -59,10 +63,11 @@ void set_batch_size(Graph& graph, int64_t batch) {
       }
     }
   }
-  infer_shapes(graph);
 }
 
-void convert_float_dtype(Graph& graph, DType dtype) {
+/// convert_float_dtype's rewrite without the inference pass: every float
+/// tensor desc (inputs, params, and node outputs) becomes `dtype`.
+void rewrite_float_dtype(Graph& graph, DType dtype) {
   PROOF_CHECK(dtype_is_float(dtype) || dtype == DType::kI8,
               "conversion target must be a float type or int8");
   for (const std::string& name : graph.inputs()) {
@@ -82,6 +87,23 @@ void convert_float_dtype(Graph& graph, DType dtype) {
       desc.dtype = dtype;
     }
   }
+}
+
+}  // namespace
+
+void specialize_graph(Graph& graph, int64_t batch, DType dtype) {
+  rewrite_batch(graph, batch);
+  rewrite_float_dtype(graph, dtype);
+  infer_shapes(graph);
+}
+
+void set_batch_size(Graph& graph, int64_t batch) {
+  rewrite_batch(graph, batch);
+  infer_shapes(graph);
+}
+
+void convert_float_dtype(Graph& graph, DType dtype) {
+  rewrite_float_dtype(graph, dtype);
   infer_shapes(graph);
 }
 

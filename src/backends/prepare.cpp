@@ -21,9 +21,13 @@ Graph prepare_model(const Graph& model, const BuildConfig& config,
                         "'): model conversion failed");
     }
   }
+  // One plain copy and one inference pass.  Not clone_warm: that would share
+  // the model's string pool with every engine cached from it (DESIGN.md §14).
+  // The AR and the AnalysisPlan adopt this graph without validating it, so
+  // validate here, after inference, whose errors report first.
   Graph g = model;
-  set_batch_size(g, config.batch);
-  convert_float_dtype(g, config.dtype);
+  specialize_graph(g, config.batch, config.dtype);
+  g.validate();
   return g;
 }
 

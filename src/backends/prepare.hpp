@@ -8,8 +8,11 @@
 
 namespace proof::backends {
 
-/// Copies the model, applies the build batch size and precision, and checks
-/// the platform supports the requested dtype.
+/// Checks the platform supports the requested dtype and every operator, then
+/// copies the model once (a plain copy), applies the build batch size and
+/// precision with one shape-inference pass (specialize_graph) and validates
+/// the result.  The engine lowered from this graph shares it with its AR and
+/// AnalysisPlan (core/prep_cache.hpp), so nothing copies or infers it again.
 [[nodiscard]] Graph prepare_model(const Graph& model, const BuildConfig& config,
                                   const hw::PlatformDesc& platform);
 

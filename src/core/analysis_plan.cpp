@@ -11,11 +11,12 @@ AnalysisPlan build_analysis_plan(const backends::Engine& engine,
                                  const backends::BuildPlan& plan,
                                  const mapping::LayerMapping& mapping) {
   AnalysisPlan out;
-  out.skeleton = engine.analysis_graph().clone_warm();
+  out.skeleton = engine.shared_analysis_graph();
+  const Graph& skeleton = *out.skeleton;
   out.build_plan = plan;
   // Extracted against the skeleton itself, so the interned tensor ids the
   // recipes cache (kernel boundaries) are valid in every clone_warm() of it.
-  out.recipes = backends::extract_layer_recipes(out.skeleton, engine.layers(),
+  out.recipes = backends::extract_layer_recipes(skeleton, engine.layers(),
                                                 out.build_plan);
   out.mapping = mapping;
   // Pre-resolve every mapping entry's model nodes against the skeleton:
@@ -25,25 +26,25 @@ AnalysisPlan build_analysis_plan(const backends::Engine& engine,
     std::vector<NodeId> ids;
     ids.reserve(entry.model_nodes.size());
     for (const std::string& name : entry.model_nodes) {
-      const NodeId id = out.skeleton.find_node(name);
+      const NodeId id = skeleton.find_node(name);
       PROOF_CHECK(id != kInvalidNode,
                   "analysis plan: mapped node '" << name << "' missing from skeleton");
       ids.push_back(id);
     }
     out.mapping_node_ids.push_back(std::move(ids));
   }
-  out.mapping_coverage = mapping.node_coverage(out.skeleton.num_nodes());
+  out.mapping_coverage = mapping.node_coverage(skeleton.num_nodes());
   out.unmapped_layers = mapping.count(mapping::MapMethod::kUnmapped);
   out.stream_policy = engine.stream_policy();
   out.backend_id = engine.backend_id();
   // The skeleton is copied concurrently by instantiations; materialize every
   // lazy index now so those copies never race on an index rebuild.
-  out.skeleton.warm_indices();
+  skeleton.warm_indices();
   return out;
 }
 
 bool plan_compatible(const AnalysisPlan& plan, const Graph& model) {
-  const Graph& s = plan.skeleton;
+  const Graph& s = *plan.skeleton;
   if (s.num_nodes() != model.num_nodes() || s.inputs() != model.inputs() ||
       s.outputs() != model.outputs()) {
     return false;
@@ -84,7 +85,7 @@ Graph instantiate_plan_graph(const AnalysisPlan& plan, const Graph& model,
                              const backends::BuildConfig& config) {
   Graph g = [&] {
     PROOF_SPAN("instantiate.copy");
-    return plan.skeleton.clone_warm();
+    return plan.skeleton->clone_warm();
   }();
   g.set_name(model.name());
   // The skeleton's shape-carrying attrs were batch-rewritten when the
@@ -100,7 +101,7 @@ Graph instantiate_plan_graph(const AnalysisPlan& plan, const Graph& model,
     }
   }
   // Restore the model's input descs (shape AND dtype; floats convert to the
-  // build precision exactly as prepare_model's convert_float_dtype does).
+  // build precision exactly as prepare_model's specialize_graph does).
   for (const std::string& in : model.inputs()) {
     TensorDesc desc = model.tensor(in);
     if (dtype_is_float(desc.dtype)) {

@@ -10,7 +10,7 @@
 // shape-erased structural fingerprint (GraphKeys::structural) so sweep
 // inner loops replace the full prepare pipeline with a cheap instantiation:
 //
-//   1. copy the frozen skeleton graph (canonical prepared graph),
+//   1. copy the frozen skeleton graph (the canonical engine's own graph),
 //   2. restore the cell model's inputs + shape-carrying attrs,
 //   3. one shape-inference pass (set_batch_size),
 //   4. replay the layer recipes through the normal kernel-costing code,
@@ -25,6 +25,7 @@
 // so stale plans are unreachable by construction.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,9 +38,10 @@ namespace proof {
 /// Frozen structure phase of a profile run, shared by every shape
 /// instantiation of a structural fingerprint.  Immutable once published.
 struct AnalysisPlan {
-  /// Canonical prepared graph (first cell's batch/dtype), warm-indexed.
-  /// Instantiation copies it and re-infers shapes in place.
-  Graph skeleton;
+  /// Canonical prepared graph (first cell's batch/dtype), warm-indexed: the
+  /// very graph the canonical engine and its AR share, not a copy of it.
+  /// Instantiation clone_warm()s it and re-infers shapes in the clone.
+  std::shared_ptr<const Graph> skeleton;
   backends::BuildPlan build_plan;
   std::vector<backends::LayerRecipe> recipes;
   mapping::LayerMapping mapping;

@@ -146,7 +146,7 @@ GraphKeys compute_graph_keys(const Graph& model) {
 PreparedEngine::PreparedEngine(backends::Engine engine_in,
                                mapping::LayerMapping mapping_in)
     : engine(std::move(engine_in)),
-      ar(engine.analysis_graph()),
+      ar(engine.shared_analysis_graph(), AnalyzeRepresentation::TrustedGraphTag{}),
       oar(ar),
       mapping(std::move(mapping_in)) {}
 
@@ -242,9 +242,9 @@ std::shared_ptr<const PreparedEngine> build_prepared(
   entry->analysis_time_s = now_s() - t0;
 
   // Shared entries are read concurrently; materialize every lazy index now
-  // (a const lookup is otherwise a first-use write — a data race).
+  // (a const lookup is otherwise a first-use write — a data race).  The
+  // engine, the AR and the plan skeleton share this one graph.
   entry->engine.analysis_graph().warm_indices();
-  entry->ar.graph().warm_indices();
 
   std::vector<std::vector<NodeId>> member_ids;
   member_ids.reserve(entry->mapping.entries.size());

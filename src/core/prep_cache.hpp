@@ -55,6 +55,9 @@ namespace proof {
 /// and address-stable once published (oar holds a pointer to ar).
 class PreparedEngine {
  public:
+  /// Full-build path: builds the AR over the engine's own analysis graph
+  /// (shared, never copied; prepare_model already validated and
+  /// shape-inferred it, and lowering does not edit it).
   PreparedEngine(backends::Engine engine_in, mapping::LayerMapping mapping_in);
 
   /// Plan-cache instantiation path: adopts an AR the instantiation already
@@ -74,7 +77,8 @@ class PreparedEngine {
   size_t unmapped_layers = 0;
   /// Wall time of AR/OAR construction + mapping when this entry was built
   /// (reported verbatim on cache hits, mirroring the paper's §4.2 overhead
-  /// accounting for the work actually performed once).
+  /// accounting for the work actually performed once).  Shape inference is
+  /// not in it: the AR adopts the graph prepare_model already inferred.
   double analysis_time_s = 0.0;
 
   /// Predicted (analytical) metrics of one backend layer.

@@ -100,8 +100,7 @@ PipelineReport pipeline_from_base(const ProfileReport& base,
 /// analysis graph tensor shapes.
 Graph deploy_graph(const Graph& model, const ProfileOptions& options) {
   Graph deployed = model;
-  set_batch_size(deployed, options.batch);
-  convert_float_dtype(deployed, options.dtype);
+  specialize_graph(deployed, options.batch, options.dtype);
   return deployed;
 }
 

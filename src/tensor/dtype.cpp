@@ -49,7 +49,9 @@ DType dtype_from_name(std::string_view name) {
   if (name == "int32" || name == "i32") return DType::kI32;
   if (name == "int64" || name == "i64") return DType::kI64;
   if (name == "bool") return DType::kBool;
-  PROOF_FAIL("unknown dtype name '" << std::string(name) << "'");
+  throw ConfigError("unknown dtype name '" + std::string(name) +
+                    "' (accepted: fp32, float32, float, fp16, float16, half, bf16, "
+                    "bfloat16, int8, i8, int32, i32, int64, i64, bool)");
 }
 
 bool dtype_is_float(DType dtype) {

@@ -24,7 +24,8 @@ enum class DType : uint8_t {
 /// Canonical lowercase name ("fp16", "int8", ...).
 [[nodiscard]] std::string_view dtype_name(DType dtype);
 
-/// Inverse of dtype_name; throws proof::Error on unknown names.
+/// Inverse of dtype_name (plus aliases such as "half"); throws ConfigError,
+/// listing the accepted names, on unknown names.
 [[nodiscard]] DType dtype_from_name(std::string_view name);
 
 /// True for float-family types (fp32/fp16/bf16).

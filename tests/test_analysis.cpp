@@ -4,6 +4,7 @@
 
 #include "analysis/analyze_representation.hpp"
 #include "analysis/shape_inference.hpp"
+#include "graph/serialize.hpp"
 #include "models/builder.hpp"
 #include "models/zoo.hpp"
 #include "support/error.hpp"
@@ -81,6 +82,41 @@ TEST(ShapeInference, ConvertKeepsIntegerTensors) {
   Graph g = models::build_model("distilbert");
   convert_float_dtype(g, DType::kF16);
   EXPECT_EQ(g.tensor("input_ids").dtype, DType::kI64);
+}
+
+/// graph_to_text of `g` once `specialize` ran on it, or the error it threw.
+template <typename Specialize>
+std::string specialized_text(Graph g, Specialize specialize) {
+  try {
+    specialize(g);
+  } catch (const Error& e) {
+    return std::string("error: ") + e.what();
+  }
+  return graph_to_text(g);
+}
+
+// specialize_graph folds set_batch_size and convert_float_dtype into one
+// inference pass.  Every zoo model at every build precision must come out
+// byte-identical to the two passes, errors included.
+TEST(ShapeInference, SpecializeGraphEqualsBatchThenDtypePasses) {
+  for (const auto* zoo : {&models::model_zoo(), &models::extended_model_zoo()}) {
+    for (const models::ModelSpec& spec : *zoo) {
+      const Graph model = models::build_model(spec.id);
+      for (const DType dtype : {DType::kF32, DType::kF16, DType::kI8}) {
+        for (const int64_t batch : {1, 3, 8}) {
+          const std::string two_pass = specialized_text(model, [&](Graph& g) {
+            set_batch_size(g, batch);
+            convert_float_dtype(g, dtype);
+          });
+          const std::string one_pass = specialized_text(
+              model, [&](Graph& g) { specialize_graph(g, batch, dtype); });
+          // Not EXPECT_EQ: a mismatch would print two whole model texts.
+          EXPECT_TRUE(one_pass == two_pass)
+              << spec.id << " " << dtype_name(dtype) << " batch " << batch;
+        }
+      }
+    }
+  }
 }
 
 TEST(AnalyzeRepresentation, PerNodeAndTotals) {

@@ -223,6 +223,8 @@ TEST(ServeE2e, BadParamsGetA400WithoutASourceLocation) {
   for (const char* payload : {
            R"({"id":1,"method":"profile","params":{"model":"resnet18","platform":"a100","batch":0}})",
            R"({"id":2,"method":"sweep","params":{"model":"resnet18","platform":"a100","batches":3}})",
+           R"({"id":3,"method":"profile","params":{"model":"resnet18","platform":"a100","dtype":"f16"}})",
+           R"({"id":4,"method":"sweep_decode","params":{"model":"gpt2","platform":"a100","dtype":"f16"}})",
        }) {
     const serve::Response response = call(server.endpoint(), payload);
     ASSERT_TRUE(response.is_error()) << payload;

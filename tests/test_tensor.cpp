@@ -19,7 +19,7 @@ TEST(DType, SizesAndNames) {
   EXPECT_EQ(dtype_name(DType::kF16), "fp16");
   EXPECT_EQ(dtype_from_name("half"), DType::kF16);
   EXPECT_EQ(dtype_from_name("int8"), DType::kI8);
-  EXPECT_THROW((void)dtype_from_name("float8"), Error);
+  EXPECT_THROW((void)dtype_from_name("float8"), ConfigError);
 }
 
 TEST(DType, RoundTripAllValues) {
